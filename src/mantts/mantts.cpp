@@ -154,12 +154,12 @@ void MantttsEntity::finish_open(std::uint32_t nonce, const tko::sa::SessionConfi
                                 bool refused) {
   auto it = pending_.find(nonce);
   if (it == pending_.end()) return;
+  OpenResult r;
+  r.scs = cfg;  // before the erase: a retry timeout passes the entry's own proposal
   Pending p = std::move(it->second);
   pending_.erase(it);
 
-  OpenResult r;
   r.tsc = p.tsc;
-  r.scs = cfg;
   r.negotiated = true;
   r.refused = refused;
   r.configuration_time = host_.now() - p.started;
@@ -171,7 +171,7 @@ void MantttsEntity::finish_open(std::uint32_t nonce, const tko::sa::SessionConfi
     p.cb(std::move(r));
     return;
   }
-  auto& session = transport_.open(p.acd.remotes, cfg);
+  auto& session = transport_.open(p.acd.remotes, r.scs);
   register_contract_for(p.acd, session);
   ++stats_.sessions_opened;
   ++active_;

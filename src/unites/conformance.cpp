@@ -1,12 +1,11 @@
 #include "unites/conformance.hpp"
 
-#include "unites/export.hpp"
+#include "unites/json_writer.hpp"
 #include "unites/repository.hpp"
 #include "unites/trace.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace adaptive::unites {
 
@@ -74,55 +73,34 @@ void grade_window(const mantts::QosContract& c, const WindowStats& s, bool grade
                       s.throughput_bps() >= c.min_throughput_bps;
 }
 
-namespace {
-
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-}  // namespace
-
 std::string SessionConformance::to_json() const {
-  std::string out = "{\"session\":" + std::to_string(contract.session);
-  out += ",\"host\":" + std::to_string(contract.host);
-  out += ",\"registrations\":" + std::to_string(registrations);
-  out += ",\"health\":\"";
-  out += to_string(health);
-  out += "\",\"time_in_contract\":" + num(time_in_contract);
-  out += ",\"budget_consumed\":" + num(budget_consumed);
-  out += ",\"fast_burn\":" + num(fast_burn);
-  out += ",\"slow_burn\":" + num(slow_burn);
-  out += ",\"breaches\":" + std::to_string(breaches);
-  out += ",\"recoveries\":" + std::to_string(recoveries);
-  out += ",\"first_breach_ns\":" + std::to_string(first_breach_ns);
-  out += ",\"qoe\":" + num(qoe);
-  out += ",\"units_sent\":" + std::to_string(units_sent);
-  out += ",\"windows_bad\":" + std::to_string(windows_bad);
-  out += ",\"windows\":[";
+  std::string out;
+  detail::JsonWriter w(out);
+  w.raw("{\"session\":").num(contract.session).raw(",\"host\":").num(contract.host);
+  w.raw(",\"registrations\":").num(registrations);
+  w.raw(",\"health\":\"").raw(to_string(health)).raw('"');
+  w.raw(",\"time_in_contract\":").num(time_in_contract);
+  w.raw(",\"budget_consumed\":").num(budget_consumed);
+  w.raw(",\"fast_burn\":").num(fast_burn).raw(",\"slow_burn\":").num(slow_burn);
+  w.raw(",\"breaches\":").num(breaches).raw(",\"recoveries\":").num(recoveries);
+  w.raw(",\"first_breach_ns\":").num(first_breach_ns).raw(",\"qoe\":").num(qoe);
+  w.raw(",\"units_sent\":").num(units_sent).raw(",\"windows_bad\":").num(windows_bad);
+  w.raw(",\"windows\":[");
   bool first = true;
-  for (const WindowVerdict& w : windows) {
-    if (!first) out += ",";
+  for (const WindowVerdict& v : windows) {
+    if (!first) w.raw(',');
     first = false;
-    out += "{\"start_ns\":" + std::to_string(w.start_ns);
-    out += ",\"end_ns\":" + std::to_string(w.end_ns);
-    out += ",\"ok\":";
-    out += w.ok() ? "true" : "false";
-    if (!w.ok()) {
-      out += ",\"worst\":\"";
-      out += w.worst();
-      out += "\"";
-    }
-    out += ",\"delivered\":" + std::to_string(w.stats.delivered);
-    out += ",\"lost\":" + std::to_string(w.stats.lost);
-    out += ",\"late\":" + std::to_string(w.stats.late);
-    out += ",\"mean_latency_ns\":" + std::to_string(w.stats.mean_latency_ns());
-    out += ",\"jitter_ns\":" + std::to_string(w.stats.jitter_ns());
-    out += ",\"throughput_bps\":" + num(w.stats.throughput_bps());
-    out += "}";
+    w.raw("{\"start_ns\":").num(v.start_ns).raw(",\"end_ns\":").num(v.end_ns);
+    w.raw(",\"ok\":").raw(v.ok() ? "true" : "false");
+    if (!v.ok()) w.raw(",\"worst\":\"").raw(v.worst()).raw('"');
+    w.raw(",\"delivered\":").num(v.stats.delivered).raw(",\"lost\":").num(v.stats.lost);
+    w.raw(",\"late\":").num(v.stats.late);
+    w.raw(",\"mean_latency_ns\":").num(v.stats.mean_latency_ns());
+    w.raw(",\"jitter_ns\":").num(v.stats.jitter_ns());
+    w.raw(",\"throughput_bps\":").num(v.stats.throughput_bps()).raw('}');
   }
-  out += "]}";
+  w.raw("]}");
+  w.flush();
   return out;
 }
 

@@ -1,39 +1,36 @@
 #include "unites/export.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-#include <set>
+#include "unites/json_writer.hpp"
+
+#include <algorithm>
 
 namespace adaptive::unites {
+
+using detail::JsonWriter;
 
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  JsonWriter w(out);
+  w.str(s);
+  w.flush();
   return out;
 }
 
 namespace {
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
+
+// Distinct nodes in ascending order. Events come in runs from one node,
+// so a repeat of the previous node skips the search.
+std::vector<net::NodeId> distinct_nodes(const std::vector<TraceEvent>& events) {
+  std::vector<net::NodeId> nodes;
+  for (const auto& e : events) {
+    if (!nodes.empty() && e.node == nodes.back()) continue;
+    const auto it = std::lower_bound(nodes.begin(), nodes.end(), e.node);
+    if (it == nodes.end() || *it != e.node) nodes.insert(it, e.node);
+  }
+  return nodes;
 }
+
 }  // namespace
 
 void write_chrome_trace(std::ostream& out, const TraceRecorder& recorder) {
@@ -41,98 +38,103 @@ void write_chrome_trace(std::ostream& out, const TraceRecorder& recorder) {
 }
 
 void write_chrome_trace(std::ostream& out, const std::vector<TraceEvent>& events) {
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  JsonWriter w(out);
+  w.raw("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
   bool first = true;
   // Name each node's track so Perfetto shows "node N" instead of "pid N".
-  std::set<net::NodeId> nodes;
-  for (const auto& e : events) nodes.insert(e.node);
-  for (const net::NodeId n : nodes) {
-    if (!first) out << ",";
+  for (const net::NodeId n : distinct_nodes(events)) {
+    if (!first) w.raw(',');
     first = false;
-    out << "{\"ph\":\"M\",\"pid\":" << n
-        << ",\"name\":\"process_name\",\"args\":{\"name\":\"node " << n << "\"}}";
+    w.raw("{\"ph\":\"M\",\"pid\":").num(n);
+    w.raw(",\"name\":\"process_name\",\"args\":{\"name\":\"node ").num(n).raw("\"}}");
   }
   for (const auto& e : events) {
-    if (!first) out << ",";
+    if (!first) w.raw(',');
     first = false;
-    const double ts_us = static_cast<double>(e.when.ns()) / 1e3;
-    out << "{\"name\":\"" << json_escape(e.name) << "\",\"cat\":\"" << to_string(e.category)
-        << "\",\"pid\":" << e.node << ",\"tid\":" << e.session << ",\"ts\":" << num(ts_us);
+    w.raw("{\"name\":\"").str(e.name).raw("\",\"cat\":\"").raw(to_string(e.category));
+    w.raw("\",\"pid\":").num(e.node).raw(",\"tid\":").num(e.session);
+    w.raw(",\"ts\":").num(static_cast<double>(e.when.ns()) / 1e3);
     if (e.duration > sim::SimTime::zero()) {
-      out << ",\"ph\":\"X\",\"dur\":" << num(static_cast<double>(e.duration.ns()) / 1e3);
+      w.raw(",\"ph\":\"X\",\"dur\":").num(static_cast<double>(e.duration.ns()) / 1e3);
     } else {
-      out << ",\"ph\":\"i\",\"s\":\"t\"";
+      w.raw(",\"ph\":\"i\",\"s\":\"t\"");
     }
-    out << ",\"args\":{\"value\":" << num(e.value);
-    if (e.detail != nullptr) out << ",\"detail\":\"" << json_escape(e.detail) << "\"";
-    out << "}}";
+    w.raw(",\"args\":{\"value\":").num(e.value);
+    if (e.detail != nullptr) w.raw(",\"detail\":\"").str(e.detail).raw('"');
+    w.raw("}}");
   }
-  out << "]}\n";
+  w.raw("]}\n");
+  w.flush();
 }
 
 void write_metrics_jsonl(std::ostream& out, const MetricRepository& repo) {
+  JsonWriter w(out);
   for (const auto& key : repo.keys()) {
     const auto summary = repo.summary(key);
     if (!summary.has_value()) continue;
     // The *stored* class, not a fresh classify_metric(name): a metric
     // recorded with an explicit class keeps it through merge and export.
-    out << "{\"host\":" << key.host << ",\"connection\":" << key.connection << ",\"name\":\""
-        << json_escape(key.name) << "\",\"class\":\""
-        << metric_class_name(repo.metric_class(key))
-        << "\",\"count\":" << summary->count << ",\"sum\":" << num(summary->sum)
-        << ",\"min\":" << num(summary->min) << ",\"max\":" << num(summary->max)
-        << ",\"last\":" << num(summary->last);
+    w.raw("{\"host\":").num(key.host).raw(",\"connection\":").num(key.connection);
+    w.raw(",\"name\":\"").str(key.name).raw("\",\"class\":\"");
+    w.raw(metric_class_name(repo.metric_class(key))).raw("\",\"count\":").num(summary->count);
+    w.raw(",\"sum\":").num(summary->sum).raw(",\"min\":").num(summary->min);
+    w.raw(",\"max\":").num(summary->max).raw(",\"last\":").num(summary->last);
     if (const Histogram* h = repo.histogram(key); h != nullptr && h->count() > 0) {
-      out << ",\"mean\":" << num(h->mean()) << ",\"p50\":" << num(h->p50())
-          << ",\"p90\":" << num(h->p90()) << ",\"p99\":" << num(h->p99())
-          << ",\"p999\":" << num(h->p999());
+      w.raw(",\"mean\":").num(h->mean()).raw(",\"p50\":").num(h->p50());
+      w.raw(",\"p90\":").num(h->p90()).raw(",\"p99\":").num(h->p99());
+      w.raw(",\"p999\":").num(h->p999());
     }
-    out << "}\n";
+    w.raw("}\n");
   }
+  w.flush();
 }
 
 namespace {
 
-void collapsed_lines(std::ostream& out, const std::string& stack, const ProfileNode& n) {
+void collapsed_lines(JsonWriter& w, const std::string& stack, const ProfileNode& n) {
   const std::string frame = stack.empty() ? n.name : stack + ";" + n.name;
-  out << frame << " " << n.calls << "\n";
-  for (const auto& c : n.children) collapsed_lines(out, frame, c);
+  w.raw(frame).raw(' ').num(n.calls).raw('\n');
+  for (const auto& c : n.children) collapsed_lines(w, frame, c);
 }
 
-void profile_node_json(std::string& out, const ProfileNode& n, bool include_wall) {
-  out += "{\"name\":\"" + json_escape(n.name) + "\"";
-  out += ",\"calls\":" + std::to_string(n.calls);
-  out += ",\"sim_ns\":" + std::to_string(n.sim_ns);
-  if (include_wall) out += ",\"wall_ns\":" + std::to_string(n.wall_ns);
-  out += ",\"children\":[";
+void profile_node_json(JsonWriter& w, const ProfileNode& n, bool include_wall) {
+  w.raw("{\"name\":\"").str(n.name).raw("\",\"calls\":").num(n.calls);
+  w.raw(",\"sim_ns\":").num(n.sim_ns);
+  if (include_wall) w.raw(",\"wall_ns\":").num(n.wall_ns);
+  w.raw(",\"children\":[");
   bool first = true;
   for (const auto& c : n.children) {
-    if (!first) out += ",";
+    if (!first) w.raw(',');
     first = false;
-    profile_node_json(out, c, include_wall);
+    profile_node_json(w, c, include_wall);
   }
-  out += "]}";
+  w.raw("]}");
 }
 
 }  // namespace
 
 void write_profile_collapsed(std::ostream& out, const ProfileTree& tree) {
+  JsonWriter w(out);
   for (const auto& root : tree.roots) {
     // Session roots carry no samples of their own; skip empty sessions so
     // a detached run collapses to an empty file.
-    for (const auto& c : root.children) collapsed_lines(out, root.name, c);
+    for (const auto& c : root.children) collapsed_lines(w, root.name, c);
   }
+  w.flush();
 }
 
 std::string profile_to_json(const ProfileTree& tree, bool include_wall) {
-  std::string out = "{\"profile\":[";
+  std::string out;
+  JsonWriter w(out);
+  w.raw("{\"profile\":[");
   bool first = true;
   for (const auto& root : tree.roots) {
-    if (!first) out += ",";
+    if (!first) w.raw(',');
     first = false;
-    profile_node_json(out, root, include_wall);
+    profile_node_json(w, root, include_wall);
   }
-  out += "]}";
+  w.raw("]}");
+  w.flush();
   return out;
 }
 
@@ -141,17 +143,14 @@ void write_profile_json(std::ostream& out, const ProfileTree& tree, bool include
 }
 
 std::string histogram_to_json(const Histogram& h) {
-  std::string out = "{";
-  out += "\"count\":" + std::to_string(h.count());
-  out += ",\"sum\":" + num(h.sum());
-  out += ",\"min\":" + num(h.min());
-  out += ",\"max\":" + num(h.max());
-  out += ",\"mean\":" + num(h.mean());
-  out += ",\"p50\":" + num(h.p50());
-  out += ",\"p90\":" + num(h.p90());
-  out += ",\"p99\":" + num(h.p99());
-  out += ",\"p999\":" + num(h.p999());
-  out += "}";
+  std::string out;
+  JsonWriter w(out);
+  w.raw("{\"count\":").num(h.count()).raw(",\"sum\":").num(h.sum());
+  w.raw(",\"min\":").num(h.min()).raw(",\"max\":").num(h.max());
+  w.raw(",\"mean\":").num(h.mean()).raw(",\"p50\":").num(h.p50());
+  w.raw(",\"p90\":").num(h.p90()).raw(",\"p99\":").num(h.p99());
+  w.raw(",\"p999\":").num(h.p999()).raw('}');
+  w.flush();
   return out;
 }
 

@@ -2,11 +2,11 @@
 
 #include "sim/logging.hpp"
 #include "unites/export.hpp"
+#include "unites/json_writer.hpp"
 
-#include <cstdio>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace adaptive::unites {
@@ -14,75 +14,74 @@ namespace adaptive::unites {
 namespace {
 
 // Re-render metrics JSONL ("{...}\n{...}\n") as a JSON array body.
-std::string jsonl_to_array(const std::string& jsonl) {
-  std::string out;
-  std::size_t pos = 0;
-  while (pos < jsonl.size()) {
-    std::size_t nl = jsonl.find('\n', pos);
-    if (nl == std::string::npos) nl = jsonl.size();
-    if (nl > pos) {
-      if (!out.empty()) out += ",";
-      out += jsonl.substr(pos, nl - pos);
+void jsonl_as_array(detail::JsonWriter& w, std::string_view jsonl) {
+  bool first = true;
+  while (!jsonl.empty()) {
+    const std::size_t nl = std::min(jsonl.find('\n'), jsonl.size());
+    if (nl > 0) {
+      if (!first) w.raw(',');
+      first = false;
+      w.raw(jsonl.substr(0, nl));
     }
-    pos = nl + 1;
+    jsonl.remove_prefix(std::min(nl + 1, jsonl.size()));
   }
-  return out;
 }
 
 }  // namespace
 
 void FlightRecorder::write_bundle(std::ostream& out, const FlightBundle& b) {
-  out << "{\"seed\":" << b.seed << ",\"reason\":\"" << json_escape(b.reason) << "\"";
+  detail::JsonWriter w(out);
+  w.raw("{\"seed\":").num(b.seed).raw(",\"reason\":\"").str(b.reason).raw('"');
 
-  out << ",\"violations\":[";
+  w.raw(",\"violations\":[");
   bool first = true;
   for (const auto& v : b.violations) {
-    if (!first) out << ",";
+    if (!first) w.raw(',');
     first = false;
-    out << "{\"rule\":\"" << json_escape(v.rule) << "\",\"zone\":\"" << json_escape(v.zone)
-        << "\",\"detail\":\"" << json_escape(v.detail) << "\"}";
+    w.raw("{\"rule\":\"").str(v.rule).raw("\",\"zone\":\"").str(v.zone);
+    w.raw("\",\"detail\":\"").str(v.detail).raw("\"}");
   }
-  out << "]";
+  w.raw(']');
 
-  out << ",\"session_config\":\"" << json_escape(b.session_config) << "\"";
-  out << ",\"context\":\"" << json_escape(b.context) << "\"";
-  out << ",\"fault_plan\":\"" << json_escape(b.fault_plan) << "\"";
-  out << ",\"chaos_plan\":\"" << json_escape(b.chaos_plan) << "\"";
+  w.raw(",\"session_config\":\"").str(b.session_config).raw('"');
+  w.raw(",\"context\":\"").str(b.context).raw('"');
+  w.raw(",\"fault_plan\":\"").str(b.fault_plan).raw('"');
+  w.raw(",\"chaos_plan\":\"").str(b.chaos_plan).raw('"');
 
-  out << ",\"counters\":[" << jsonl_to_array(b.metrics_jsonl) << "]";
+  w.raw(",\"counters\":[");
+  jsonl_as_array(w, b.metrics_jsonl);
+  w.raw(']');
 
-  out << ",\"resource\":" << (b.resource_json.empty() ? "null" : b.resource_json);
+  w.raw(",\"resource\":").raw(b.resource_json.empty() ? "null" : b.resource_json);
 
-  out << ",\"conformance\":" << (b.conformance_json.empty() ? "null" : b.conformance_json);
+  w.raw(",\"conformance\":").raw(b.conformance_json.empty() ? "null" : b.conformance_json);
 
-  out << ",\"open_spans\":[";
+  w.raw(",\"open_spans\":[");
   first = true;
   for (const auto& s : b.open_spans) {
-    if (!first) out << ",";
+    if (!first) w.raw(',');
     first = false;
-    out << span_to_json(s);
+    w.raw(span_to_json(s));
   }
-  out << "],\"spans_total\":" << b.spans_total;
+  w.raw("],\"spans_total\":").num(b.spans_total);
 
   // Canonical bundles never include wall time: a bundle must be
   // byte-identical between serial and parallel sweeps of the same seed.
-  out << ",\"profile\":" << profile_to_json(b.profile, /*include_wall=*/false);
+  w.raw(",\"profile\":").raw(profile_to_json(b.profile, /*include_wall=*/false));
 
-  out << ",\"trace\":[";
+  w.raw(",\"trace\":[");
   first = true;
   for (const auto& e : b.trace) {
-    if (!first) out << ",";
+    if (!first) w.raw(',');
     first = false;
-    out << "{\"t\":" << e.when.ns() << ",\"cat\":\"" << to_string(e.category) << "\",\"name\":\""
-        << json_escape(e.name) << "\",\"node\":" << e.node << ",\"session\":" << e.session
-        << ",\"value\":";
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.9g", e.value);
-    out << buf;
-    if (e.detail != nullptr) out << ",\"detail\":\"" << json_escape(e.detail) << "\"";
-    out << "}";
+    w.raw("{\"t\":").num(e.when.ns()).raw(",\"cat\":\"").raw(to_string(e.category));
+    w.raw("\",\"name\":\"").str(e.name).raw("\",\"node\":").num(e.node);
+    w.raw(",\"session\":").num(e.session).raw(",\"value\":").num(e.value);
+    if (e.detail != nullptr) w.raw(",\"detail\":\"").str(e.detail).raw('"');
+    w.raw('}');
   }
-  out << "]}\n";
+  w.raw("]}\n");
+  w.flush();
 }
 
 std::string FlightRecorder::dump(const FlightBundle& b) const {
@@ -97,6 +96,7 @@ std::string FlightRecorder::dump(const FlightBundle& b) const {
   if (!out) throw std::runtime_error("FlightRecorder: cannot write '" + path + "'");
   write_bundle(out, b);
   out.close();
+  if (!out) throw std::runtime_error("FlightRecorder: write failed for '" + path + "'");
 
   std::string rules;
   for (const auto& v : b.violations) {

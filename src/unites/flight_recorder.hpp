@@ -70,7 +70,8 @@ public:
 
   /// Write `b` to "<dir>/flight-seed<seed>.json"; returns the path.
   /// Throws std::runtime_error if the directory or file cannot be
-  /// created. Echoes one kWarn line through sim::Logger.
+  /// created or the file cannot be fully written. Echoes one kWarn line
+  /// through sim::Logger.
   std::string dump(const FlightBundle& b) const;
 
   [[nodiscard]] const std::string& dir() const { return dir_; }

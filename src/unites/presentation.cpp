@@ -1,5 +1,7 @@
 #include "unites/presentation.hpp"
 
+#include "unites/json_writer.hpp"
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -114,15 +116,13 @@ std::string render_host_report(const MetricRepository& repo, net::NodeId host) {
 }
 
 std::string series_to_csv(const MetricRepository& repo, const MetricKey& key) {
-  std::string out = "when_ns,value\n";
-  const Series* s = repo.series(key);
-  if (s == nullptr) return out;
-  char buf[96];
-  for (const auto& smp : *s) {
-    std::snprintf(buf, sizeof buf, "%lld,%.9g\n", static_cast<long long>(smp.when.ns()),
-                  smp.value);
-    out += buf;
+  std::string out;
+  detail::JsonWriter w(out);
+  w.raw("when_ns,value\n");
+  if (const Series* s = repo.series(key); s != nullptr) {
+    for (const auto& smp : *s) w.num(smp.when.ns()).raw(',').num(smp.value).raw('\n');
   }
+  w.flush();
   return out;
 }
 

@@ -162,19 +162,13 @@ Profiler::Node* Profiler::open(const char* zone, std::uint32_t session) {
   Node* parent = cursor_;
   if (parent == nullptr) {
     // Top-level zone: attach under the session root (created on demand).
-    for (const auto& r : roots_) {
-      if (r->session == session) {
-        parent = r.get();
-        break;
-      }
-    }
-    if (parent == nullptr) {
-      auto root = std::make_unique<Node>();
+    std::unique_ptr<Node>& root = roots_[session];
+    if (root == nullptr) {
+      root = std::make_unique<Node>();
       root->name = "session";
       root->session = session;
-      parent = root.get();
-      roots_.push_back(std::move(root));
     }
+    parent = root.get();
   }
   for (const auto& c : parent->children) {
     if (c->name == zone) {
@@ -215,7 +209,7 @@ ProfileTree Profiler::snapshot() const {
   // Session roots sorted by id; root names become "session/<id>".
   std::vector<const Node*> roots;
   roots.reserve(roots_.size());
-  for (const auto& r : roots_) roots.push_back(r.get());
+  for (const auto& [session, r] : roots_) roots.push_back(r.get());
   std::sort(roots.begin(), roots.end(),
             [](const Node* a, const Node* b) { return a->session < b->session; });
 

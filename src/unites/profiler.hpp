@@ -34,6 +34,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace adaptive::sim {
@@ -169,7 +170,7 @@ private:
   bool enabled_ = false;
   bool echo_ = false;
   const sim::EventScheduler* clock_ = nullptr;
-  std::vector<std::unique_ptr<Node>> roots_;  ///< session roots, insertion order
+  std::unordered_map<std::uint32_t, std::unique_ptr<Node>> roots_;  ///< session roots by id
   Node* cursor_ = nullptr;                    ///< innermost open zone
   ProfileScope* top_scope_ = nullptr;
   std::uint64_t entered_ = 0;

@@ -2,6 +2,7 @@
 
 #include "os/host.hpp"
 #include "tko/transport.hpp"
+#include "unites/json_writer.hpp"
 
 namespace adaptive::unites {
 
@@ -87,32 +88,32 @@ void ResourceSnapshot::record_into(MetricRepository& repo) const {
 }
 
 std::string ResourceSnapshot::to_json() const {
-  std::string out = "{\"when_ns\":" + std::to_string(when.ns()) + ",\"hosts\":[";
+  std::string out;
+  detail::JsonWriter w(out);
+  w.raw("{\"when_ns\":").num(when.ns()).raw(",\"hosts\":[");
   bool first = true;
   for (const auto& h : hosts) {
-    if (!first) out += ",";
+    if (!first) w.raw(',');
     first = false;
-    out += "{\"host\":" + std::to_string(h.host) +
-           ",\"allocations\":" + std::to_string(h.pool.allocations) +
-           ",\"allocated_bytes\":" + std::to_string(h.pool.allocated_bytes) +
-           ",\"frees\":" + std::to_string(h.pool.frees) +
-           ",\"freed_bytes\":" + std::to_string(h.pool.freed_bytes) +
-           ",\"live_bytes\":" + std::to_string(h.pool.live_bytes) +
-           ",\"high_water_bytes\":" + std::to_string(h.pool.high_water_bytes) +
-           ",\"copies\":" + std::to_string(h.pool.copies) +
-           ",\"copied_bytes\":" + std::to_string(h.pool.copied_bytes) +
-           ",\"wasted_bytes\":" + std::to_string(h.pool.wasted_bytes) + "}";
+    w.raw("{\"host\":").num(h.host).raw(",\"allocations\":").num(h.pool.allocations);
+    w.raw(",\"allocated_bytes\":").num(h.pool.allocated_bytes);
+    w.raw(",\"frees\":").num(h.pool.frees).raw(",\"freed_bytes\":").num(h.pool.freed_bytes);
+    w.raw(",\"live_bytes\":").num(h.pool.live_bytes);
+    w.raw(",\"high_water_bytes\":").num(h.pool.high_water_bytes);
+    w.raw(",\"copies\":").num(h.pool.copies).raw(",\"copied_bytes\":").num(h.pool.copied_bytes);
+    w.raw(",\"wasted_bytes\":").num(h.pool.wasted_bytes).raw('}');
   }
-  out += "],\"sessions\":[";
+  w.raw("],\"sessions\":[");
   first = true;
   for (const auto& s : sessions) {
-    if (!first) out += ",";
+    if (!first) w.raw(',');
     first = false;
-    out += "{\"host\":" + std::to_string(s.host) + ",\"session\":" + std::to_string(s.session) +
-           ",\"live_bytes\":" + std::to_string(s.live_bytes) +
-           ",\"high_water_bytes\":" + std::to_string(s.high_water_bytes) + "}";
+    w.raw("{\"host\":").num(s.host).raw(",\"session\":").num(s.session);
+    w.raw(",\"live_bytes\":").num(s.live_bytes);
+    w.raw(",\"high_water_bytes\":").num(s.high_water_bytes).raw('}');
   }
-  out += "]}";
+  w.raw("]}");
+  w.flush();
   return out;
 }
 

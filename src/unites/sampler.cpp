@@ -1,21 +1,8 @@
 #include "unites/sampler.hpp"
 
-#include "unites/export.hpp"
-
-#include <cstdio>
+#include "unites/json_writer.hpp"
 
 namespace adaptive::unites {
-
-namespace {
-
-// Shortest round-trippable rendering, matching the other exporters.
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-}  // namespace
 
 Sampler::Sampler(os::TimerFacility& timers, Config cfg, CaptureFn capture)
     : cfg_(cfg), capture_(std::move(capture)) {
@@ -59,25 +46,29 @@ void Sampler::sample() {
 }
 
 void write_timeline_jsonl(std::ostream& out, const Timeline& tl) {
+  detail::JsonWriter w(out);
   for (const auto& p : tl) {
-    out << "{\"t\":" << p.when.ns() << ",\"seed\":" << p.seed << ",\"host\":" << p.host
-        << ",\"connection\":" << p.connection << ",\"name\":\"" << json_escape(p.name)
-        << "\",\"value\":" << num(p.value) << "}\n";
+    w.raw("{\"t\":").num(p.when.ns()).raw(",\"seed\":").num(p.seed);
+    w.raw(",\"host\":").num(p.host).raw(",\"connection\":").num(p.connection);
+    w.raw(",\"name\":\"").str(p.name).raw("\",\"value\":").num(p.value).raw("}\n");
   }
+  w.flush();
 }
 
 void write_timeline_chrome(std::ostream& out, const Timeline& tl) {
-  out << "{\"traceEvents\":[";
+  detail::JsonWriter w(out);
+  w.raw("{\"traceEvents\":[");
   bool first = true;
   for (const auto& p : tl) {
-    if (!first) out << ",";
+    if (!first) w.raw(',');
     first = false;
-    const double ts_us = static_cast<double>(p.when.ns()) / 1e3;
-    out << "{\"name\":\"" << json_escape(p.name) << "\",\"cat\":\"resource\",\"ph\":\"C\""
-        << ",\"pid\":" << p.host << ",\"tid\":" << p.connection << ",\"ts\":" << num(ts_us)
-        << ",\"args\":{\"value\":" << num(p.value) << "}}";
+    w.raw("{\"name\":\"").str(p.name).raw("\",\"cat\":\"resource\",\"ph\":\"C\",\"pid\":");
+    w.num(p.host).raw(",\"tid\":").num(p.connection);
+    w.raw(",\"ts\":").num(static_cast<double>(p.when.ns()) / 1e3);
+    w.raw(",\"args\":{\"value\":").num(p.value).raw("}}");
   }
-  out << "]}\n";
+  w.raw("]}\n");
+  w.flush();
 }
 
 }  // namespace adaptive::unites

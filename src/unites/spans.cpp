@@ -1,15 +1,16 @@
 #include "unites/spans.hpp"
 
-#include "unites/export.hpp"
+#include "unites/json_writer.hpp"
 #include "unites/metric.hpp"
 
-#include <cstdio>
 #include <cstring>
 #include <map>
 #include <set>
 #include <string>
 
 namespace adaptive::unites {
+
+using detail::JsonWriter;
 
 std::vector<MessageSpan> assemble_spans(const std::vector<TraceEvent>& events) {
   std::map<std::uint32_t, MessageSpan> by_unit;
@@ -86,44 +87,35 @@ void record_span_breakdown(const std::vector<MessageSpan>& spans, MetricReposito
 }
 
 namespace {
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
 
-std::string async_id(const MessageSpan& s) {
-  std::string out = "s";
-  out += std::to_string(s.seed);
-  out += ".u";
-  out += std::to_string(s.unit);
-  return out;
-}
-
-void async_event(std::ostream& out, bool& first, const char* ph, const MessageSpan& s,
+void async_event(JsonWriter& w, bool& first, const char* ph, const MessageSpan& s,
                  std::int64_t t_ns, const char* name) {
   if (t_ns < 0) return;
-  if (!first) out << ",";
+  if (!first) w.raw(',');
   first = false;
-  out << "{\"ph\":\"" << ph << "\",\"cat\":\"msg\",\"id\":\"" << async_id(s) << "\",\"name\":\""
-      << name << "\",\"pid\":" << s.src << ",\"tid\":" << s.session
-      << ",\"ts\":" << num(static_cast<double>(t_ns) / 1e3);
-  if (ph[0] == 'n') out << ",\"args\":{\"unit\":" << s.unit << ",\"retx\":" << s.retx << "}";
-  out << "}";
+  w.raw("{\"ph\":\"").raw(ph).raw("\",\"cat\":\"msg\",\"id\":\"s").num(s.seed);
+  w.raw(".u").num(s.unit).raw("\",\"name\":\"").raw(name).raw("\",\"pid\":").num(s.src);
+  w.raw(",\"tid\":").num(s.session).raw(",\"ts\":").num(static_cast<double>(t_ns) / 1e3);
+  if (ph[0] == 'n') {
+    w.raw(",\"args\":{\"unit\":").num(s.unit).raw(",\"retx\":").num(s.retx).raw('}');
+  }
+  w.raw('}');
 }
+
 }  // namespace
 
 void write_spans_chrome(std::ostream& out, const std::vector<MessageSpan>& spans) {
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  JsonWriter w(out);
+  w.raw("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
   bool first = true;
   for (const auto& s : spans) {
     const std::int64_t start = s.submit_ns >= 0 ? s.submit_ns : s.deliver_ns;
-    async_event(out, first, "b", s, start, "msg");
-    async_event(out, first, "n", s, s.enqueue_ns, "enqueue");
-    async_event(out, first, "n", s, s.first_tx_ns, "tx");
-    if (s.retx > 0) async_event(out, first, "n", s, s.last_tx_ns, "retx");
-    async_event(out, first, "n", s, s.deliver_ns, "deliver");
-    async_event(out, first, "n", s, s.playout_ns, "playout");
+    async_event(w, first, "b", s, start, "msg");
+    async_event(w, first, "n", s, s.enqueue_ns, "enqueue");
+    async_event(w, first, "n", s, s.first_tx_ns, "tx");
+    if (s.retx > 0) async_event(w, first, "n", s, s.last_tx_ns, "retx");
+    async_event(w, first, "n", s, s.deliver_ns, "deliver");
+    async_event(w, first, "n", s, s.playout_ns, "playout");
     // Open spans (undelivered messages) end at their last known milestone
     // so the track renders; the flight recorder lists them explicitly.
     std::int64_t end = s.playout_ns;
@@ -131,27 +123,23 @@ void write_spans_chrome(std::ostream& out, const std::vector<MessageSpan>& spans
     if (end < 0) end = s.last_tx_ns;
     if (end < 0) end = s.enqueue_ns;
     if (end < 0) end = s.submit_ns;
-    async_event(out, first, "e", s, end, "msg");
+    async_event(w, first, "e", s, end, "msg");
   }
-  out << "]}\n";
+  w.raw("]}\n");
+  w.flush();
 }
 
 std::string span_to_json(const MessageSpan& s) {
-  std::string out = "{";
-  out += "\"seed\":" + std::to_string(s.seed);
-  out += ",\"unit\":" + std::to_string(s.unit);
-  out += ",\"session\":" + std::to_string(s.session);
-  out += ",\"src\":" + std::to_string(s.src);
-  out += ",\"submit_ns\":" + std::to_string(s.submit_ns);
-  out += ",\"enqueue_ns\":" + std::to_string(s.enqueue_ns);
-  out += ",\"first_tx_ns\":" + std::to_string(s.first_tx_ns);
-  out += ",\"last_tx_ns\":" + std::to_string(s.last_tx_ns);
-  out += ",\"segments\":" + std::to_string(s.segments);
-  out += ",\"retx\":" + std::to_string(s.retx);
-  out += ",\"deliver_ns\":" + std::to_string(s.deliver_ns);
-  out += ",\"playout_ns\":" + std::to_string(s.playout_ns);
-  out += std::string(",\"open\":") + (s.open() ? "true" : "false");
-  out += "}";
+  std::string out;
+  JsonWriter w(out);
+  w.raw("{\"seed\":").num(s.seed).raw(",\"unit\":").num(s.unit);
+  w.raw(",\"session\":").num(s.session).raw(",\"src\":").num(s.src);
+  w.raw(",\"submit_ns\":").num(s.submit_ns).raw(",\"enqueue_ns\":").num(s.enqueue_ns);
+  w.raw(",\"first_tx_ns\":").num(s.first_tx_ns).raw(",\"last_tx_ns\":").num(s.last_tx_ns);
+  w.raw(",\"segments\":").num(s.segments).raw(",\"retx\":").num(s.retx);
+  w.raw(",\"deliver_ns\":").num(s.deliver_ns).raw(",\"playout_ns\":").num(s.playout_ns);
+  w.raw(",\"open\":").raw(s.open() ? "true" : "false").raw('}');
+  w.flush();
   return out;
 }
 

@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 namespace adaptive {
 namespace {
@@ -149,10 +150,37 @@ TEST(Profiler, RepeatedScopesAccumulateCallsIntoOneZone) {
   for (int i = 0; i < 100; ++i) {
     UNITES_PROF("hot.zone");
   }
-  const unites::ProfileNode* zone = t.prof.snapshot().find({"session/0", "hot.zone"});
+  const unites::ProfileTree tree = t.prof.snapshot();
+  const unites::ProfileNode* zone = tree.find({"session/0", "hot.zone"});
   ASSERT_NE(zone, nullptr);
   EXPECT_EQ(zone->calls, 100u);
   EXPECT_EQ(zone->sim_ns, 0);  // handlers run in zero virtual time
+}
+
+// Top-level zones find their session's root by id, however many sessions
+// exist; snapshot() lists the roots by id, and clear() forgets them.
+TEST(Profiler, SessionRootsAreFoundByIdAndClearedWithTheTree) {
+  TestProfiler t;
+  for (int round = 0; round < 2; ++round) {
+    for (std::uint32_t s = 5000; s > 0; --s) {
+      unites::ProfileScope zone("top", s);
+    }
+  }
+  unites::ProfileTree tree = t.prof.snapshot();
+  ASSERT_EQ(tree.roots.size(), 5000u);
+  EXPECT_EQ(tree.roots.front().name, "session/1");
+  EXPECT_EQ(tree.roots.back().name, "session/5000");
+  for (const auto& root : tree.roots) {
+    ASSERT_EQ(root.children.size(), 1u);
+    EXPECT_EQ(root.children[0].calls, 2u);
+  }
+  t.prof.clear();
+  { unites::ProfileScope zone("top", 7); }
+  tree = t.prof.snapshot();
+  ASSERT_EQ(tree.roots.size(), 1u);
+  const unites::ProfileNode* top = tree.find({"session/7", "top"});
+  ASSERT_NE(top, nullptr);
+  EXPECT_EQ(top->calls, 1u);
 }
 
 TEST(Profiler, DisabledOrUnclockedProfilerRecordsNothing) {
@@ -535,6 +563,19 @@ TEST(FlightRecorder, CleanRunWritesNoBundle) {
   EXPECT_EQ(res.runs[0].violations, 0u);
   EXPECT_EQ(res.flight_bundles, 0u);
   EXPECT_FALSE(std::filesystem::exists(dir / "flight-seed3.json"));
+  std::filesystem::remove_all(dir);
+}
+
+// A bundle the disk refuses is an error, never a "wrote" line.
+TEST(FlightRecorder, FailedWriteThrows) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "needs /dev/full";
+  const auto dir = scratch_dir("full");
+  std::filesystem::create_directories(dir);
+  std::filesystem::create_symlink("/dev/full", dir / "flight-seed5.json");
+  unites::FlightBundle b;
+  b.seed = 5;
+  b.reason = "replay";
+  EXPECT_THROW((void)unites::FlightRecorder(dir.string()).dump(b), std::runtime_error);
   std::filesystem::remove_all(dir);
 }
 

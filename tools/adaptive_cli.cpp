@@ -247,6 +247,22 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
   return opt;
 }
 
+/// Write one export file. A file that cannot be opened or fully written
+/// prints "cannot write <what> file <path>" and returns false.
+template <class Export>
+bool export_file(const std::string& path, const char* what, Export&& write) {
+  std::ofstream f(path);
+  if (f) {
+    write(f);
+    f.close();
+  }
+  if (!f) {
+    std::fprintf(stderr, "cannot write %s file %s\n", what, path.c_str());
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -454,66 +470,48 @@ int main(int argc, char** argv) {
       std::printf("trace     : %zu events retained (%llu emitted), digest %016llx\n",
                   res.trace.size(), static_cast<unsigned long long>(res.trace_events_emitted),
                   static_cast<unsigned long long>(res.trace_digest));
-      std::ofstream tf(cli->trace_out);
-      if (!tf) {
-        std::fprintf(stderr, "cannot write trace file %s\n", cli->trace_out.c_str());
+      if (!export_file(cli->trace_out, "trace",
+                       [&](std::ostream& o) { unites::write_chrome_trace(o, res.trace); })) {
         return 1;
       }
-      unites::write_chrome_trace(tf, res.trace);
       std::printf("            -> %s (open in Perfetto)\n", cli->trace_out.c_str());
     }
     if (!cli->metrics_out.empty()) {
-      std::ofstream mf(cli->metrics_out);
-      if (!mf) {
-        std::fprintf(stderr, "cannot write metrics file %s\n", cli->metrics_out.c_str());
+      if (!export_file(cli->metrics_out, "metrics",
+                       [&](std::ostream& o) { unites::write_metrics_jsonl(o, res.merged); })) {
         return 1;
       }
-      unites::write_metrics_jsonl(mf, res.merged);
       std::printf("metrics   : %zu series -> %s\n", res.merged.series_count(),
                   cli->metrics_out.c_str());
     }
     if (sc.capture_profile) {
-      std::ofstream pf(cli->profile_out);
-      if (!pf) {
-        std::fprintf(stderr, "cannot write profile file %s\n", cli->profile_out.c_str());
-        return 1;
-      }
       // Canonical exports: virtual time only, so the file is --jobs
       // independent.
-      unites::write_profile_collapsed(pf, res.profile);
-      std::ofstream pj(cli->profile_out + ".json");
-      if (!pj) {
-        std::fprintf(stderr, "cannot write profile file %s.json\n", cli->profile_out.c_str());
+      if (!export_file(cli->profile_out, "profile",
+                       [&](std::ostream& o) { unites::write_profile_collapsed(o, res.profile); }) ||
+          !export_file(cli->profile_out + ".json", "profile", [&](std::ostream& o) {
+            unites::write_profile_json(o, res.profile, /*include_wall=*/false);
+          })) {
         return 1;
       }
-      unites::write_profile_json(pj, res.profile, /*include_wall=*/false);
       std::printf("profile   : %zu zones -> %s (+ .json)\n", res.profile.zone_count(),
                   cli->profile_out.c_str());
     }
     if (sc.capture_spans) {
-      std::ofstream sf(cli->span_out);
-      if (!sf) {
-        std::fprintf(stderr, "cannot write span file %s\n", cli->span_out.c_str());
+      if (!export_file(cli->span_out, "span",
+                       [&](std::ostream& o) { unites::write_spans_chrome(o, res.spans); })) {
         return 1;
       }
-      unites::write_spans_chrome(sf, res.spans);
       std::printf("spans     : %zu message lifecycles -> %s (open in Perfetto)\n",
                   res.spans.size(), cli->span_out.c_str());
     }
     if (sc.capture_timeline) {
-      std::ofstream tlf(cli->timeline_out);
-      if (!tlf) {
-        std::fprintf(stderr, "cannot write timeline file %s\n", cli->timeline_out.c_str());
+      if (!export_file(cli->timeline_out, "timeline",
+                       [&](std::ostream& o) { unites::write_timeline_jsonl(o, res.timeline); }) ||
+          !export_file(cli->timeline_out + ".chrome.json", "timeline",
+                       [&](std::ostream& o) { unites::write_timeline_chrome(o, res.timeline); })) {
         return 1;
       }
-      unites::write_timeline_jsonl(tlf, res.timeline);
-      std::ofstream tlc(cli->timeline_out + ".chrome.json");
-      if (!tlc) {
-        std::fprintf(stderr, "cannot write timeline file %s.chrome.json\n",
-                     cli->timeline_out.c_str());
-        return 1;
-      }
-      unites::write_timeline_chrome(tlc, res.timeline);
       std::printf("timeline  : %zu points -> %s (+ .chrome.json counter tracks)\n",
                   res.timeline.size(), cli->timeline_out.c_str());
     }
@@ -593,29 +591,20 @@ int main(int argc, char** argv) {
   if (!cli->timeline_out.empty()) {
     unites::Timeline timeline = out.timeline;
     for (auto& p : timeline) p.seed = cli->seed;
-    std::ofstream tlf(cli->timeline_out);
-    if (!tlf) {
-      std::fprintf(stderr, "cannot write timeline file %s\n", cli->timeline_out.c_str());
+    if (!export_file(cli->timeline_out, "timeline",
+                     [&](std::ostream& o) { unites::write_timeline_jsonl(o, timeline); }) ||
+        !export_file(cli->timeline_out + ".chrome.json", "timeline",
+                     [&](std::ostream& o) { unites::write_timeline_chrome(o, timeline); })) {
       return 1;
     }
-    unites::write_timeline_jsonl(tlf, timeline);
-    std::ofstream tlc(cli->timeline_out + ".chrome.json");
-    if (!tlc) {
-      std::fprintf(stderr, "cannot write timeline file %s.chrome.json\n",
-                   cli->timeline_out.c_str());
-      return 1;
-    }
-    unites::write_timeline_chrome(tlc, timeline);
     std::printf("timeline  : %zu points -> %s (+ .chrome.json counter tracks)\n", timeline.size(),
                 cli->timeline_out.c_str());
   }
   if (!cli->qos_out.empty()) {
-    std::ofstream qf(cli->qos_out);
-    if (!qf) {
-      std::fprintf(stderr, "cannot write qos file %s\n", cli->qos_out.c_str());
+    if (!export_file(cli->qos_out, "qos",
+                     [&](std::ostream& o) { o << out.conformance.to_json() << '\n'; })) {
       return 1;
     }
-    qf << out.conformance.to_json() << '\n';
     std::printf("qos       : conformance report -> %s\n", cli->qos_out.c_str());
   }
 
@@ -641,53 +630,43 @@ int main(int argc, char** argv) {
   }
 
   if (!cli->trace_out.empty()) {
-    std::ofstream tf(cli->trace_out);
-    if (!tf) {
-      std::fprintf(stderr, "cannot write trace file %s\n", cli->trace_out.c_str());
+    if (!export_file(cli->trace_out, "trace",
+                     [](std::ostream& o) { unites::write_chrome_trace(o, unites::trace()); })) {
       return 1;
     }
-    unites::write_chrome_trace(tf, unites::trace());
     std::printf("\ntrace     : %zu events -> %s (%llu dropped; open in Perfetto)\n",
                 unites::trace().size(), cli->trace_out.c_str(),
                 static_cast<unsigned long long>(unites::trace().dropped()));
   }
   if (!cli->metrics_out.empty()) {
-    std::ofstream mf(cli->metrics_out);
-    if (!mf) {
-      std::fprintf(stderr, "cannot write metrics file %s\n", cli->metrics_out.c_str());
+    if (!export_file(cli->metrics_out, "metrics", [&](std::ostream& o) {
+          unites::write_metrics_jsonl(o, world.repository());
+        })) {
       return 1;
     }
-    unites::write_metrics_jsonl(mf, world.repository());
     std::printf("metrics   : %zu series -> %s\n", world.repository().series_count(),
                 cli->metrics_out.c_str());
   }
   if (!cli->profile_out.empty()) {
     const unites::ProfileTree tree = unites::Profiler::current().snapshot();
-    std::ofstream pf(cli->profile_out);
-    if (!pf) {
-      std::fprintf(stderr, "cannot write profile file %s\n", cli->profile_out.c_str());
-      return 1;
-    }
-    unites::write_profile_collapsed(pf, tree);
-    std::ofstream pj(cli->profile_out + ".json");
-    if (!pj) {
-      std::fprintf(stderr, "cannot write profile file %s.json\n", cli->profile_out.c_str());
-      return 1;
-    }
     // Single run: wall time is the perf signal, include it.
-    unites::write_profile_json(pj, tree, /*include_wall=*/true);
+    if (!export_file(cli->profile_out, "profile",
+                     [&](std::ostream& o) { unites::write_profile_collapsed(o, tree); }) ||
+        !export_file(cli->profile_out + ".json", "profile", [&](std::ostream& o) {
+          unites::write_profile_json(o, tree, /*include_wall=*/true);
+        })) {
+      return 1;
+    }
     std::printf("profile   : %zu zones -> %s (+ .json, with wall time)\n", tree.zone_count(),
                 cli->profile_out.c_str());
   }
   if (!cli->span_out.empty()) {
     auto spans = unites::assemble_spans(unites::trace().snapshot());
     for (auto& s : spans) s.seed = cli->seed;
-    std::ofstream sf(cli->span_out);
-    if (!sf) {
-      std::fprintf(stderr, "cannot write span file %s\n", cli->span_out.c_str());
+    if (!export_file(cli->span_out, "span",
+                     [&](std::ostream& o) { unites::write_spans_chrome(o, spans); })) {
       return 1;
     }
-    unites::write_spans_chrome(sf, spans);
     std::printf("spans     : %zu message lifecycles -> %s (open in Perfetto)\n", spans.size(),
                 cli->span_out.c_str());
   }
