@@ -200,9 +200,13 @@ SweepResult run_sweep(const SweepConfig& cfg) {
     }
     RunOutcome outcome = run_scenario(world, opt);
 
+    // One snapshot of the shard's ring feeds the spans, the sweep result
+    // and the flight bundle.
+    std::vector<unites::TraceEvent> trace;
+    if (want_trace) trace = recorder.snapshot();
     std::vector<unites::MessageSpan> spans;
     if (cfg.capture_spans || flight_armed) {
-      spans = unites::assemble_spans(recorder.snapshot());
+      spans = unites::assemble_spans(trace);
       for (auto& s : spans) s.seed = seed;
     }
     if (cfg.capture_spans) {
@@ -212,12 +216,8 @@ SweepResult run_sweep(const SweepConfig& cfg) {
     }
 
     unit.repo = std::move(world.repository());
-    if (cfg.capture_trace) {
-      unit.trace = recorder.snapshot();
-      unit.trace_emitted = recorder.emitted();
-    }
+    if (cfg.capture_trace) unit.trace_emitted = recorder.emitted();
     if (want_profile) unit.profile = profiler.snapshot();
-    if (cfg.capture_spans) unit.spans = spans;
     unit.summary.seed = seed;
     unit.summary.qos_pass = outcome.qos.all_ok() && !outcome.refused;
     unit.summary.refused = outcome.refused;
@@ -288,7 +288,7 @@ SweepResult run_sweep(const SweepConfig& cfg) {
       bundle.metrics_jsonl = metrics.str();
       bundle.resource_json = outcome.resource.to_json();
       if (outcome.qos.windowed) bundle.conformance_json = outcome.conformance.to_json();
-      bundle.trace = recorder.snapshot();
+      bundle.trace = trace;
       for (const auto& s : spans) {
         if (s.open()) bundle.open_spans.push_back(s);
       }
@@ -297,15 +297,26 @@ SweepResult run_sweep(const SweepConfig& cfg) {
       unites::FlightRecorder(cfg.flight_recorder_dir).dump(bundle);
       unit.flight_dumped = true;
     }
+    if (cfg.capture_trace) unit.trace = std::move(trace);
+    if (cfg.capture_spans) unit.spans = std::move(spans);
   });
 
   // Canonical fold: ascending seed index, regardless of completion order.
+  // Each shard buffer is appended once into a presized result.
+  std::size_t trace_events = 0;
+  std::size_t span_count = 0;
+  for (const auto& unit : units) {
+    trace_events += unit.trace.size();
+    span_count += unit.spans.size();
+  }
+  out.trace.reserve(trace_events);
+  out.spans.reserve(span_count);
   out.runs.reserve(units.size());
   for (auto& unit : units) {
     out.merged.merge(unit.repo);
     out.trace.insert(out.trace.end(), unit.trace.begin(), unit.trace.end());
     out.trace_events_emitted += unit.trace_emitted;
-    out.runs.push_back(unit.summary);
+    out.runs.push_back(std::move(unit.summary));
     if (cfg.capture_profile) out.profile.merge(unit.profile);
     out.spans.insert(out.spans.end(), unit.spans.begin(), unit.spans.end());
     out.timeline.insert(out.timeline.end(), std::make_move_iterator(unit.timeline.begin()),

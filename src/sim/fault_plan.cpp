@@ -170,7 +170,7 @@ bool parse_spec(std::string_view text, FaultSpec& spec, std::string& error) {
       spec.count = static_cast<std::uint32_t>(c);
     } else if (key == "period") {
       ok = parse_time_sec(val, num) && num > 0.0;
-      spec.period = SimTime::seconds(num);
+      if (ok) spec.period = SimTime::seconds(num);
     } else if (key == "ber") {
       ok = parse_double(val, num) && num >= 0.0 && num <= 1.0;
       spec.burst_error_rate = num;
@@ -182,7 +182,7 @@ bool parse_spec(std::string_view text, FaultSpec& spec, std::string& error) {
       spec.p_bad_to_good = num;
     } else if (key == "add") {
       ok = parse_time_sec(val, num) && num >= 0.0;
-      spec.extra_delay = SimTime::seconds(num);
+      if (ok) spec.extra_delay = SimTime::seconds(num);
     } else if (key == "factor") {
       ok = parse_double(val, num) && num > 0.0;
       spec.bandwidth_factor = num;

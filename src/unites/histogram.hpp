@@ -7,6 +7,9 @@
 // counters, so two histograms collected on different hosts (or in
 // different sessions) merge losslessly — the property the repository's
 // systemwide presentation relies on.
+//
+// Only the occupied bucket range is stored: a series that only ever saw
+// one value holds one counter, not the ~500 empty buckets below it.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +55,11 @@ private:
   [[nodiscard]] static double bucket_lower(std::size_t index);
   [[nodiscard]] static double bucket_upper(std::size_t index);
 
-  std::vector<std::uint64_t> buckets_;  ///< grown on demand; [0] = v <= 0
+  /// Grow the stored range to cover bucket `index`; returns its counter.
+  std::uint64_t& slot(std::size_t index);
+
+  std::vector<std::uint64_t> counts_;  ///< buckets [lo_, lo_ + size); bucket 0 = v <= 0
+  std::size_t lo_ = 0;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

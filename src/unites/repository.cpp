@@ -10,15 +10,10 @@ void MetricRepository::record(const MetricKey& key, sim::SimTime when, double va
 
 void MetricRepository::record(const MetricKey& key, sim::SimTime when, double value,
                               MetricClass cls) {
-  classes_.try_emplace(key, cls);  // first explicit choice wins
-  auto& stored = data_[key];
-  stored.samples.push_back(Sample{when, value});
-  if (stored.samples.size() > cap_) {
-    // Age out the oldest half in one move (amortized O(1) per record).
-    stored.samples.erase(stored.samples.begin(),
-                         stored.samples.begin() + static_cast<std::ptrdiff_t>(cap_ / 2));
-  }
-  auto& s = summaries_[key];
+  auto& e = entries_.try_emplace(key, Entry{cls, {}, {}, {}}).first->second;  // first class wins
+  e.samples.push_back(Sample{when, value});
+  age(e.samples);
+  auto& s = e.summary;
   if (s.count == 0) {
     s.min = s.max = value;
   } else {
@@ -28,79 +23,78 @@ void MetricRepository::record(const MetricKey& key, sim::SimTime when, double va
   ++s.count;
   s.sum += value;
   s.last = value;
-  histograms_[key].add(value);
+  e.histogram.add(value);
   ++total_samples_;
 }
 
+void MetricRepository::age(Series& samples) const {
+  if (samples.size() <= cap_) return;
+  // Whole rounds of the oldest max(1, cap/2) in one move (amortized O(1)
+  // per record).
+  const std::size_t drop = std::max<std::size_t>(1, cap_ / 2);
+  const std::size_t rounds = (samples.size() - cap_ + drop - 1) / drop;
+  samples.erase(samples.begin(), samples.begin() + static_cast<std::ptrdiff_t>(rounds * drop));
+}
+
 void MetricRepository::merge(const MetricRepository& other) {
-  for (const auto& [key, stored] : other.data_) {
-    auto& mine = data_[key].samples;
-    mine.insert(mine.end(), stored.samples.begin(), stored.samples.end());
-    // Same aging rule as record(): drop the oldest half past the cap.
-    const std::size_t drop = cap_ / 2 == 0 ? 1 : cap_ / 2;
-    while (mine.size() > cap_) {
-      mine.erase(mine.begin(), mine.begin() + static_cast<std::ptrdiff_t>(drop));
+  for (const auto& [key, theirs] : other.entries_) {
+    const auto [it, fresh] = entries_.try_emplace(key, theirs);  // first class wins
+    Entry& mine = it->second;
+    if (!fresh) {
+      mine.samples.insert(mine.samples.end(), theirs.samples.begin(), theirs.samples.end());
+      auto& s = mine.summary;
+      const auto& t = theirs.summary;
+      s.min = std::min(s.min, t.min);
+      s.max = std::max(s.max, t.max);
+      s.count += t.count;
+      s.sum += t.sum;
+      s.last = t.last;
+      mine.histogram.merge(theirs.histogram);
     }
+    age(mine.samples);
   }
-  for (const auto& [key, theirs] : other.summaries_) {
-    if (theirs.count == 0) continue;
-    auto& s = summaries_[key];
-    if (s.count == 0) {
-      s = theirs;
-      continue;
-    }
-    s.min = std::min(s.min, theirs.min);
-    s.max = std::max(s.max, theirs.max);
-    s.count += theirs.count;
-    s.sum += theirs.sum;
-    s.last = theirs.last;
-  }
-  for (const auto& [key, h] : other.histograms_) histograms_[key].merge(h);
-  // Carry the metric class: without this a merged repository forgets any
-  // explicit classification and exporters fall back to name heuristics.
-  for (const auto& [key, cls] : other.classes_) classes_.try_emplace(key, cls);
   total_samples_ += other.total_samples_;
 }
 
 MetricClass MetricRepository::metric_class(const MetricKey& key) const {
-  auto it = classes_.find(key);
-  return it == classes_.end() ? classify_metric(key.name) : it->second;
+  auto it = entries_.find(key);
+  return it == entries_.end() ? classify_metric(key.name) : it->second.cls;
 }
 
 const Series* MetricRepository::series(const MetricKey& key) const {
-  auto it = data_.find(key);
-  return it == data_.end() ? nullptr : &it->second.samples;
+  auto it = entries_.find(key);
+  return it == entries_.end() ? nullptr : &it->second.samples;
 }
 
 std::optional<SeriesSummary> MetricRepository::summary(const MetricKey& key) const {
-  auto it = summaries_.find(key);
-  if (it == summaries_.end()) return std::nullopt;
-  return it->second;
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return std::nullopt;
+  return it->second.summary;
 }
 
 const Histogram* MetricRepository::histogram(const MetricKey& key) const {
-  auto it = histograms_.find(key);
-  return it == histograms_.end() ? nullptr : &it->second;
+  auto it = entries_.find(key);
+  return it == entries_.end() ? nullptr : &it->second.histogram;
 }
 
 Histogram MetricRepository::systemwide_histogram(std::string_view name) const {
   Histogram merged;
-  for (const auto& [k, h] : histograms_) {
-    if (k.name == name) merged.merge(h);
+  for (const auto& [k, e] : entries_) {
+    if (k.name == name) merged.merge(e.histogram);
   }
   return merged;
 }
 
 std::vector<MetricKey> MetricRepository::keys() const {
   std::vector<MetricKey> out;
-  out.reserve(data_.size());
-  for (const auto& [k, _] : data_) out.push_back(k);
+  out.reserve(entries_.size());
+  for (const auto& [k, _] : entries_) out.push_back(k);
   return out;
 }
 
 std::vector<MetricKey> MetricRepository::keys_for_host(net::NodeId host) const {
   std::vector<MetricKey> out;
-  for (const auto& [k, _] : data_) {
+  for (const auto& [k, _] : entries_) {
     if (k.host == host) out.push_back(k);
   }
   return out;
@@ -109,7 +103,7 @@ std::vector<MetricKey> MetricRepository::keys_for_host(net::NodeId host) const {
 std::vector<MetricKey> MetricRepository::keys_for_connection(net::NodeId host,
                                                              std::uint32_t connection) const {
   std::vector<MetricKey> out;
-  for (const auto& [k, _] : data_) {
+  for (const auto& [k, _] : entries_) {
     if (k.host == host && k.connection == connection) out.push_back(k);
   }
   return out;
@@ -117,8 +111,8 @@ std::vector<MetricKey> MetricRepository::keys_for_connection(net::NodeId host,
 
 double MetricRepository::systemwide_sum(std::string_view name) const {
   double sum = 0.0;
-  for (const auto& [k, s] : summaries_) {
-    if (k.name == name) sum += s.sum;
+  for (const auto& [k, e] : entries_) {
+    if (k.name == name) sum += e.summary.sum;
   }
   return sum;
 }

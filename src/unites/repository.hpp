@@ -11,7 +11,6 @@
 #include "unites/histogram.hpp"
 #include "unites/metric.hpp"
 
-#include <deque>
 #include <map>
 #include <optional>
 
@@ -37,8 +36,8 @@ public:
   void record(const MetricKey& key, sim::SimTime when, double value);
   void record(const MetricKey& key, sim::SimTime when, double value, MetricClass cls);
 
-  /// The stored class for `key` (survives merge); falls back to
-  /// classify_metric for keys recorded before class storage existed.
+  /// The stored class for `key` (survives merge); classify_metric for a
+  /// key that was never recorded.
   [[nodiscard]] MetricClass metric_class(const MetricKey& key) const;
 
   /// Fold another repository into this one: per-key series are appended
@@ -70,26 +69,28 @@ public:
   /// Systemwide total of a counter-style metric across hosts/connections.
   [[nodiscard]] double systemwide_sum(std::string_view name) const;
 
-  [[nodiscard]] std::size_t series_count() const { return data_.size(); }
+  [[nodiscard]] std::size_t series_count() const { return entries_.size(); }
   [[nodiscard]] std::uint64_t total_samples() const { return total_samples_; }
 
   void clear() {
-    data_.clear();
-    summaries_.clear();
-    histograms_.clear();
-    classes_.clear();
+    entries_.clear();
     total_samples_ = 0;
   }
 
 private:
-  struct Stored {
+  /// Everything kept for one series, found with one key lookup.
+  struct Entry {
+    MetricClass cls;
     Series samples;
+    SeriesSummary summary;
+    Histogram histogram;
   };
+  /// Drop the oldest samples, max(1, cap/2) at a time, until the series
+  /// fits the cap: the one aging rule for record() and merge().
+  void age(Series& samples) const;
+
   std::size_t cap_;
-  std::map<MetricKey, Stored> data_;
-  std::map<MetricKey, SeriesSummary> summaries_;
-  std::map<MetricKey, Histogram> histograms_;
-  std::map<MetricKey, MetricClass> classes_;
+  std::map<MetricKey, Entry> entries_;
   std::uint64_t total_samples_ = 0;
 };
 

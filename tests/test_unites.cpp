@@ -24,7 +24,9 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <random>
+#include <set>
 #include <sstream>
 
 namespace adaptive::unites {
@@ -74,6 +76,123 @@ TEST(Repository, CapsSeriesButKeepsSummary) {
   for (int i = 0; i < 100; ++i) repo.record(key, sim::SimTime::milliseconds(i), 1.0);
   EXPECT_LE(repo.series(key)->size(), 16u);
   EXPECT_EQ(repo.summary(key)->count, 100u);  // aggregate survives aging
+}
+
+TEST(Repository, RecordAndMergeAgeTinyCapsAlike) {
+  const MetricKey key{1, 1, "x"};
+  MetricRepository source;
+  for (int i = 0; i < 10; ++i) source.record(key, sim::SimTime::milliseconds(i), i);
+  for (const std::size_t cap : {0u, 1u, 2u, 3u}) {
+    SCOPED_TRACE(cap);
+    MetricRepository recorded(cap);
+    for (int i = 0; i < 10; ++i) recorded.record(key, sim::SimTime::milliseconds(i), i);
+    MetricRepository merged(cap);
+    merged.merge(source);
+    for (const MetricRepository* repo : {&recorded, &merged}) {
+      // The newest `cap` samples survive; the aggregates see all ten.
+      const Series& series = *repo->series(key);
+      ASSERT_EQ(series.size(), cap);
+      for (std::size_t i = 0; i < cap; ++i) {
+        EXPECT_DOUBLE_EQ(series[i].value, static_cast<double>(10 - cap + i));
+      }
+      EXPECT_EQ(repo->summary(key)->count, 10u);
+      EXPECT_EQ(repo->histogram(key)->count(), 10u);
+    }
+  }
+}
+
+/// Everything a reader can ask a repository, for comparing two of them.
+void expect_same_repository(const MetricRepository& got, const MetricRepository& want) {
+  ASSERT_EQ(got.keys(), want.keys());
+  EXPECT_EQ(got.series_count(), want.series_count());
+  EXPECT_EQ(got.total_samples(), want.total_samples());
+  std::set<std::string> names;
+  std::set<std::pair<net::NodeId, std::uint32_t>> owners;
+  for (const auto& key : want.keys()) {
+    SCOPED_TRACE(key.name);
+    names.insert(key.name);
+    owners.emplace(key.host, key.connection);
+    EXPECT_EQ(got.metric_class(key), want.metric_class(key));
+    const Series& gs = *got.series(key);
+    const Series& ws = *want.series(key);
+    ASSERT_EQ(gs.size(), ws.size());
+    for (std::size_t i = 0; i < gs.size(); ++i) {
+      EXPECT_EQ(gs[i].when, ws[i].when);
+      EXPECT_EQ(gs[i].value, ws[i].value);
+    }
+    const auto g = *got.summary(key);
+    const auto w = *want.summary(key);
+    EXPECT_EQ(g.count, w.count);
+    EXPECT_EQ(g.sum, w.sum);
+    EXPECT_EQ(g.min, w.min);
+    EXPECT_EQ(g.max, w.max);
+    EXPECT_EQ(g.last, w.last);
+    EXPECT_EQ(got.histogram(key)->count(), want.histogram(key)->count());
+    EXPECT_EQ(got.histogram(key)->sum(), want.histogram(key)->sum());
+    EXPECT_EQ(got.histogram(key)->p99(), want.histogram(key)->p99());
+  }
+  for (const auto& [host, connection] : owners) {
+    EXPECT_EQ(got.keys_for_host(host), want.keys_for_host(host));
+    EXPECT_EQ(got.keys_for_connection(host, connection),
+              want.keys_for_connection(host, connection));
+  }
+  for (const auto& name : names) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(got.systemwide_sum(name), want.systemwide_sum(name));
+    const Histogram g = got.systemwide_histogram(name);
+    const Histogram w = want.systemwide_histogram(name);
+    EXPECT_EQ(g.count(), w.count());
+    EXPECT_EQ(g.sum(), w.sum());
+    for (const double p : {0.0, 50.0, 90.0, 99.9, 100.0}) {
+      EXPECT_EQ(g.percentile(p), w.percentile(p));
+    }
+  }
+  const MetricKey absent{1, 0, "never.recorded"};
+  EXPECT_EQ(got.metric_class(absent), want.metric_class(absent));
+}
+
+TEST(Repository, MergedShardsAnswerLikeOneRepository) {
+  // Integer values keep every partial sum exact, so the shard split cannot
+  // move a summary or histogram sum.
+  struct Record {
+    MetricKey key;
+    sim::SimTime when;
+    double value;
+    std::optional<MetricClass> cls;
+  };
+  const char* names[] = {"latency.ns", "custom.count", "qos.window_ok", "mem.pool_live_bytes",
+                         "free.form"};
+  std::mt19937_64 rng(0xfeed);
+  std::vector<Record> records;
+  for (int i = 0; i < 20'000; ++i) {
+    Record r{{static_cast<net::NodeId>(rng() % 3), static_cast<std::uint32_t>(rng() % 5),
+              names[rng() % 5]},
+             sim::SimTime::microseconds(i),
+             static_cast<double>(rng() % 2'000'000) - 1000.0,
+             std::nullopt};
+    // Pin a class on some records: only each key's first choice may stick.
+    if (rng() % 7 == 0) r.cls = static_cast<MetricClass>(rng() % 3);
+    records.push_back(r);
+  }
+  auto record_into = [](MetricRepository& repo, const Record& r) {
+    if (r.cls) {
+      repo.record(r.key, r.when, r.value, *r.cls);
+    } else {
+      repo.record(r.key, r.when, r.value);
+    }
+  };
+  MetricRepository whole;
+  for (const auto& r : records) record_into(whole, r);
+  for (const std::size_t shards : {1u, 2u, 7u}) {
+    SCOPED_TRACE(shards);
+    std::vector<MetricRepository> parts(shards);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      record_into(parts[i * shards / records.size()], records[i]);
+    }
+    MetricRepository merged;
+    for (const auto& part : parts) merged.merge(part);
+    expect_same_repository(merged, whole);
+  }
 }
 
 TEST(Analysis, BasicStats) {
@@ -285,6 +404,197 @@ TEST(Histogram, MergeIsLossless) {
   EXPECT_DOUBLE_EQ(merged.min(), a.min());
   EXPECT_DOUBLE_EQ(merged.max(), b.max());
   EXPECT_GT(merged.p90(), a.max());  // upper decile lives in b's range
+}
+
+TEST(Histogram, InfinityLandsInTheTopBucket) {
+  Histogram inf;
+  Histogram huge;
+  inf.add(std::numeric_limits<double>::infinity());
+  huge.add(std::numeric_limits<double>::max());
+  const auto a = inf.nonzero_buckets();
+  const auto b = huge.nonzero_buckets();
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(a[0].lower, b[0].lower);
+  EXPECT_EQ(a[0].upper, b[0].upper);
+  EXPECT_EQ(a[0].upper, std::ldexp(1.0, 64));  // the top bucket's upper edge
+  EXPECT_EQ(inf.max(), std::numeric_limits<double>::infinity());
+}
+
+/// Oracle for the range-stored Histogram: the dense layout it replaced,
+/// one counter per bucket from bucket 0 up to the highest occupied one,
+/// with the bucket formulas restated.
+struct DenseHistogram {
+  static constexpr int kFloor = 64;
+  static constexpr int kCeil = 64;
+  static constexpr std::size_t kSub = Histogram::kSubBucketsPerOctave;
+
+  std::vector<std::uint64_t> buckets;
+  std::uint64_t count = 0;
+  double sum = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+
+  static std::size_t index(double v) {
+    if (!(v > 0.0)) return 0;
+    if (std::isinf(v)) return (kFloor + kCeil + 1) * kSub;
+    int exp = 0;
+    const double m = std::frexp(v, &exp);
+    exp = std::clamp(exp, -kFloor, kCeil);
+    const auto sub = static_cast<std::size_t>((m - 0.5) * 2.0 * static_cast<double>(kSub));
+    return 1 + static_cast<std::size_t>(exp + kFloor) * kSub + std::min(sub, kSub - 1);
+  }
+  /// Bucket `i`'s lower edge (`step` 0) or upper edge (`step` 1).
+  static double edge(std::size_t i, double step) {
+    if (i == 0) return 0.0;
+    const int exp = static_cast<int>((i - 1) / kSub) - kFloor;
+    const double sub = static_cast<double>((i - 1) % kSub) + step;
+    return std::ldexp(0.5 + sub * 0.5 / static_cast<double>(kSub), exp);
+  }
+
+  void fold(double lo, double hi) {
+    min = count == 0 ? lo : std::min(min, lo);
+    max = count == 0 ? hi : std::max(max, hi);
+  }
+  void add(double v) {
+    const std::size_t i = index(v);
+    if (i >= buckets.size()) buckets.resize(i + 1, 0);
+    ++buckets[i];
+    fold(v, v);
+    ++count;
+    sum += v;
+  }
+  void merge(const DenseHistogram& o) {
+    if (o.count == 0) return;
+    if (o.buckets.size() > buckets.size()) buckets.resize(o.buckets.size(), 0);
+    for (std::size_t i = 0; i < o.buckets.size(); ++i) buckets[i] += o.buckets[i];
+    fold(o.min, o.max);
+    count += o.count;
+    sum += o.sum;
+  }
+  double percentile(double p) const {
+    if (count == 0) return 0.0;
+    p = std::clamp(p, 0.0, 100.0);
+    const double target = p / 100.0 * static_cast<double>(count);
+    std::uint64_t cumulative = 0;
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+      if (buckets[i] == 0) continue;
+      const double before = static_cast<double>(cumulative);
+      cumulative += buckets[i];
+      if (static_cast<double>(cumulative) >= target) {
+        const double frac =
+            std::clamp((target - before) / static_cast<double>(buckets[i]), 0.0, 1.0);
+        return std::clamp(edge(i, 0.0) + frac * (edge(i, 1.0) - edge(i, 0.0)), min, max);
+      }
+    }
+    return max;
+  }
+};
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Count every disagreement between `h` and the dense oracle `d`,
+/// reporting the first few.
+std::size_t diff_against_dense(const Histogram& h, const DenseHistogram& d) {
+  std::size_t bad = 0;
+  auto check = [&](bool ok, const char* what, double p) {
+    if (!ok && ++bad <= 5) ADD_FAILURE() << what << " differs (p=" << p << ")";
+  };
+  const double empty_min = d.count == 0 ? 0.0 : d.min;
+  const double empty_max = d.count == 0 ? 0.0 : d.max;
+  check(h.count() == d.count, "count", 0);
+  check(same_bits(h.sum(), d.sum), "sum", 0);
+  check(same_bits(h.min(), empty_min), "min", 0);
+  check(same_bits(h.max(), empty_max), "max", 0);
+  for (int i = 0; i <= 1000; ++i) {
+    const double p = i / 10.0;
+    check(same_bits(h.percentile(p), d.percentile(p)), "percentile", p);
+  }
+  const auto got = h.nonzero_buckets();
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < d.buckets.size(); ++i) {
+    if (d.buckets[i] == 0) continue;
+    const bool ok = k < got.size() && same_bits(got[k].lower, DenseHistogram::edge(i, 0.0)) &&
+                    same_bits(got[k].upper, DenseHistogram::edge(i, 1.0)) &&
+                    got[k].count == d.buckets[i];
+    check(ok, "bucket", static_cast<double>(i));
+    ++k;
+  }
+  check(k == got.size(), "bucket count", 0);
+  return bad;
+}
+
+TEST(Histogram, RangeStorageMatchesDenseReferenceBitForBit) {
+  std::mt19937_64 rng(0x4157'0c0d'e5eeull);
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0,
+                             -0.0,
+                             -1.0,
+                             -1e300,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             kInf,
+                             -kInf,
+                             std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::max(),
+                             1e300,
+                             0x1p-64,
+                             0x1p-65,
+                             0x1p63,
+                             0x1p64,
+                             0.5,
+                             1.0};
+  // Leaves fill from one of four sources, so their ranges overlap, nest
+  // and lie apart: any bit pattern (every exponent, NaN payloads,
+  // subnormals, ±inf), a narrow octave band, the specials, or ns-scale
+  // latencies.
+  auto draw = [&](int source, int band) -> double {
+    switch (source) {
+      case 0: return std::bit_cast<double>(rng());
+      case 1: {
+        const double m = 0.5 + static_cast<double>(rng() >> 11) * 0x1p-54;
+        return std::ldexp(m, band + static_cast<int>(rng() % 5) - 2);
+      }
+      case 2: return specials[rng() % std::size(specials)];
+      default: return static_cast<double>(rng() % 10'000'000'000ull);
+    }
+  };
+  std::vector<std::pair<Histogram, DenseHistogram>> nodes;
+  std::size_t values = 0;
+  while (values < 200'000) {
+    auto& [h, d] = nodes.emplace_back();
+    const int source = static_cast<int>(rng() % 4);
+    const int band = static_cast<int>(rng() % 2200) - 1100;
+    const std::size_t n = rng() % 8 == 0 ? 0 : 1 + rng() % 6000;  // some leaves stay empty
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v = draw(source, band);
+      h.add(v);
+      d.add(v);
+    }
+    values += n;
+    ASSERT_EQ(diff_against_dense(h, d), 0u);
+  }
+  // Merge random pairs until one tree remains, checking every inner node.
+  while (nodes.size() > 1) {
+    const std::size_t i = rng() % nodes.size();
+    std::size_t j = rng() % (nodes.size() - 1);
+    if (j >= i) ++j;
+    nodes[i].first.merge(nodes[j].first);
+    nodes[i].second.merge(nodes[j].second);
+    ASSERT_EQ(diff_against_dense(nodes[i].first, nodes[i].second), 0u);
+    nodes.erase(nodes.begin() + static_cast<std::ptrdiff_t>(j));
+  }
+  EXPECT_GE(nodes[0].first.count(), 200'000u);
+  // clear() leaves nothing behind that a later add could see.
+  nodes[0].first.clear();
+  DenseHistogram fresh;
+  for (const double v : specials) {
+    nodes[0].first.add(v);
+    fresh.add(v);
+  }
+  EXPECT_EQ(diff_against_dense(nodes[0].first, fresh), 0u);
 }
 
 TEST(Trace, RingWraparoundKeepsNewestEvents) {
