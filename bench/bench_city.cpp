@@ -38,20 +38,16 @@ struct SweepFingerprint {
 };
 
 SweepFingerprint city_sweep_at(std::size_t jobs, const CityOptions& base, std::size_t seeds) {
-  CitySweepConfig sc;
-  sc.base = base;
-  sc.count = seeds;
-  sc.base_seed = 7;
-  sc.jobs = jobs;
-  sc.capture_trace = true;
-  const CitySweepResult res = run_city_sweep(sc);
+  const auto res = run_city_sweep(base, sweep_seeds({}, seeds, 7), jobs, /*capture_trace=*/true);
   SweepFingerprint fp;
   fp.trace_digest = res.trace_digest;
   std::ostringstream jsonl;
   unites::write_metrics_jsonl(jsonl, res.merged);
   fp.metrics_jsonl = jsonl.str();
-  fp.opened = res.opened;
-  fp.delivered = res.messages_delivered;
+  for (const CityOutcome& run : res.runs) {
+    fp.opened += run.opened;
+    fp.delivered += run.messages_delivered;
+  }
   return fp;
 }
 

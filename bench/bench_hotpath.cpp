@@ -1,32 +1,27 @@
-// E-X10 — zero-copy hot path: legacy copy path vs scatter/gather datapath.
+// E-X10 — zero-copy hot path: absolute gates on the scatter/gather datapath.
 //
-// One binary, two phases over the identical workload — parallel bulk file
-// transfers (the Figure-1 application class) pushed across the paper's
-// high-speed target network (155 Mbps B-ISDN/ATM WAN, SMDS-sized 9188-byte
-// MTU), where per-byte datapath cost, not per-packet protocol chatter,
-// dominates. Phase 1 restores the pre-refactor hot path: the copying
-// datapath (linearize on send, byte-image rebuild per remote, deep_copy on
-// receive, pop/peek header parsing) and the binary-heap event queue.
-// Phase 2 runs the zero-copy scatter/gather path on the hierarchical timer
-// wheel. The virtual clock cannot tell the modes apart — a behavioral
-// digest of every deterministic metric must match bit-for-bit — so the
-// wall-time ratio between the phases isolates the cost of the copies and
-// the event queue.
+// Parallel bulk file transfers (the Figure-1 application class) pushed
+// across the paper's high-speed target network (155 Mbps B-ISDN/ATM WAN,
+// SMDS-sized 9188-byte MTU), where per-byte datapath cost, not per-packet
+// protocol chatter, dominates. A behavioural digest of every deterministic
+// virtual-time metric must equal the pinned digest for the workload. The
+// pins were recorded while the pre-refactor copying datapath and
+// binary-heap event queue still ran beside the zero-copy path and both
+// produced them bit-for-bit; EXPERIMENTS.md E-X10 keeps that A/B history
+// (28.2 -> 1.0 copies/msg, 2.0-2.5x wall).
 //
 // Gates (non-zero exit on failure):
-//   * digest(legacy) == digest(zerocopy)    — always
-//   * os.copies_per_msg < 3 in zerocopy     — always
-//   * wall-time speedup >= 2.0              — full run only (skipped with
-//     --smoke, which shrinks the workload for sanitizer-friendly CI runs)
+//   * digest == the pinned digest (--smoke or full workload)
+//   * profiled digest == timed digest (the profiler never touches
+//     virtual time)
+//   * os.copies_per_msg < 3
 //
-// Also emits collapsed-stack flamegraphs (hotpath_legacy.folded /
-// hotpath_zerocopy.folded, wall-weighted) for before/after comparison;
-// the committed copies live in bench/flamegraphs/.
+// Also emits a wall-weighted collapsed-stack flamegraph
+// (hotpath_zerocopy.folded); bench/flamegraphs/ keeps the committed
+// before/after pair from the A/B era.
 #include "common.hpp"
 
 #include "app/traffic_models.hpp"
-#include "os/buffer_pool.hpp"
-#include "tko/message.hpp"
 #include "unites/profiler.hpp"
 
 #include <chrono>
@@ -42,6 +37,15 @@ using namespace adaptive;
 
 namespace {
 
+/// Behavioural digests of the two workloads, recorded at the last commit
+/// that could still run the legacy datapath, where both modes matched.
+constexpr const char* kSmokeDigest =
+    "units=64/64 bytes=1048576 pdus=192/24 drops=0 retx=0 lat(n=64,sum=6189896226ns) "
+    "events=2858 now=1300000000";
+constexpr const char* kFullDigest =
+    "units=8192/8192 bytes=134217728 pdus=24745/3269 drops=0 retx=169 "
+    "lat(n=8192,sum=30540861321490ns) events=371670 now=8400000000";
+
 struct PhaseResult {
   std::string digest;       ///< deterministic virtual-time metrics, printable
   double wall_sec = 0;      ///< host time for the measured section
@@ -53,22 +57,15 @@ struct PhaseResult {
 };
 
 struct PhaseConfig {
-  bool legacy = false;
   bool smoke = false;
-  /// Enable the zone profiler and collect collapsed stacks. Profiled
-  /// passes exist to produce the flamegraphs; the *timed* passes run with
-  /// instrumentation off so the wall-time ratio measures the datapath,
-  /// not the zone bookkeeping (which costs the same in both modes and
-  /// would dilute the ratio toward 1).
+  /// Enable the zone profiler and collect collapsed stacks. The profiled
+  /// pass exists to produce the flamegraph; the *timed* pass runs with
+  /// instrumentation off so its wall time measures the datapath, not the
+  /// zone bookkeeping.
   bool profile = false;
 };
 
 PhaseResult run_phase(const PhaseConfig& cfg) {
-  // "Legacy" restores the whole pre-refactor hot path: the copying
-  // datapath AND the binary-heap event queue the timer wheel replaced.
-  tko::set_legacy_copy_path(cfg.legacy);
-  sim::set_legacy_heap_mode(cfg.legacy);
-  os::set_legacy_alloc_path(cfg.legacy);
   auto& prof = unites::Profiler::current();
   prof.clear();
   if (cfg.profile) prof.enable();
@@ -127,9 +124,9 @@ PhaseResult run_phase(const PhaseConfig& cfg) {
     sources.back()->start();
   }
   // Run until every unit is delivered, advancing in fixed 100 ms chunks so
-  // both modes execute the identical run_until sequence (a fixed long
+  // every pass executes the identical run_until sequence (a fixed long
   // deadline would spend most of the virtual clock on idle periodic-timer
-  // churn — shared overhead that only dilutes the wall-time ratio).
+  // churn).
   const std::uint64_t expect_units =
       static_cast<std::uint64_t>(n_sessions) * (bytes_per_transfer / unit_bytes);
   const auto delivered = [&] {
@@ -146,8 +143,9 @@ PhaseResult run_phase(const PhaseConfig& cfg) {
   PhaseResult out;
 
   // Behavioral digest: everything deterministic the workload produced,
-  // summed across sessions. Memory/copy counters are deliberately absent —
-  // they are the quantities the two modes are *supposed* to disagree on.
+  // summed across sessions. Memory/copy counters are deliberately absent:
+  // the copy ledger is gated on its own (copies/msg below, the bench_diff
+  // trajectory in CI).
   std::uint64_t units_sent = 0, units_rx = 0, bytes_rx = 0, pdus_tx = 0, pdus_rx = 0;
   std::uint64_t drops = 0, retx = 0, lat_n = 0, lat_ns_sum = 0;
   for (std::size_t i = 0; i < n_sessions; ++i) {
@@ -192,28 +190,7 @@ PhaseResult run_phase(const PhaseConfig& cfg) {
     prof.disable();
     prof.clear();
   }
-  tko::set_legacy_copy_path(false);
-  sim::set_legacy_heap_mode(false);
-  os::set_legacy_alloc_path(false);
   return out;
-}
-
-/// Run a timed phase `reps` times and keep the fastest wall time (the
-/// standard defense against scheduler noise on a shared machine); every
-/// repetition must produce the identical digest or the phase fails hard.
-PhaseResult best_of(const PhaseConfig& cfg, int reps) {
-  PhaseResult best = run_phase(cfg);
-  for (int r = 1; r < reps; ++r) {
-    PhaseResult next = run_phase(cfg);
-    if (next.digest != best.digest) {
-      std::printf("[FAIL] nondeterministic digest across repetitions of the same mode:\n"
-                  "  rep 0: %s\n  rep %d: %s\n",
-                  best.digest.c_str(), r, next.digest.c_str());
-      std::exit(1);
-    }
-    if (next.wall_sec < best.wall_sec) best = std::move(next);
-  }
-  return best;
 }
 
 void write_folded(const char* path, const std::string& folded) {
@@ -230,82 +207,53 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
 
-  bench::banner("E-X10 / hotpath", "legacy copy path + heap vs zero-copy datapath + timer wheel");
-  if (smoke) std::printf("(smoke mode: reduced workload, wall-time gate skipped)\n");
+  bench::banner("E-X10 / hotpath", "zero-copy datapath + timer wheel, pinned digest");
+  if (smoke) std::printf("(smoke mode: reduced workload)\n");
+  const std::string pinned = smoke ? kSmokeDigest : kFullDigest;
 
-  const int reps = smoke ? 1 : 3;
-
-  std::printf("\n[phase 1/4] legacy copy path + binary heap (timed, best of %d)...\n", reps);
-  const PhaseResult legacy = best_of({.legacy = true, .smoke = smoke}, reps);
-  std::printf("  wall=%.3fs copies/msg=%.2f\n  digest: %s\n", legacy.wall_sec,
-              legacy.copies_per_msg, legacy.digest.c_str());
-
-  std::printf("[phase 2/4] zero-copy path + timer wheel (timed, best of %d)...\n", reps);
-  const PhaseResult zc = best_of({.legacy = false, .smoke = smoke}, reps);
+  std::printf("\n[phase 1/2] zero-copy path + timer wheel (timed)...\n");
+  const PhaseResult zc = run_phase({.smoke = smoke});
   std::printf("  wall=%.3fs copies/msg=%.2f\n  digest: %s\n", zc.wall_sec, zc.copies_per_msg,
               zc.digest.c_str());
 
-  // Separate profiled passes produce the flamegraphs; their digests must
-  // match the timed passes (the profiler never touches virtual time).
-  std::printf("[phase 3/4] legacy, profiled for flamegraph...\n");
-  const PhaseResult legacy_prof = run_phase({.legacy = true, .smoke = smoke, .profile = true});
-  std::printf("[phase 4/4] zero-copy, profiled for flamegraph...\n");
-  const PhaseResult zc_prof = run_phase({.legacy = false, .smoke = smoke, .profile = true});
-
-  write_folded("hotpath_legacy.folded", legacy_prof.folded);
+  // A separate profiled pass produces the flamegraph; its digest must
+  // match the timed pass (the profiler never touches virtual time).
+  std::printf("[phase 2/2] zero-copy, profiled for flamegraph...\n");
+  const PhaseResult zc_prof = run_phase({.smoke = smoke, .profile = true});
   write_folded("hotpath_zerocopy.folded", zc_prof.folded);
 
-  const double speedup = zc.wall_sec > 0 ? legacy.wall_sec / zc.wall_sec : 0.0;
-  const double tput_legacy = legacy.wall_sec > 0
-                                 ? static_cast<double>(legacy.bytes_received) / legacy.wall_sec
-                                 : 0.0;
   const double tput_zc =
       zc.wall_sec > 0 ? static_cast<double>(zc.bytes_received) / zc.wall_sec : 0.0;
-  std::printf("\n[throughput] legacy %sB/s -> zerocopy %sB/s (wall speedup %.2fx)\n",
-              unites::format_si(tput_legacy).c_str(), unites::format_si(tput_zc).c_str(),
-              speedup);
-  std::printf("[copies]     legacy %.2f/msg -> zerocopy %.2f/msg\n", legacy.copies_per_msg,
-              zc.copies_per_msg);
+  std::printf("\n[throughput] zerocopy %sB/s\n", unites::format_si(tput_zc).c_str());
+  std::printf("[copies]     zerocopy %.2f/msg\n", zc.copies_per_msg);
 
   bench::Report report("hotpath");
   report.scalar("units.sent", static_cast<double>(zc.units_sent));
-  report.scalar("wall.legacy_sec", legacy.wall_sec);
   report.scalar("wall.zerocopy_sec", zc.wall_sec);
-  report.scalar("throughput.legacy_bytes_per_sec", tput_legacy);
   report.scalar("throughput.zerocopy_bytes_per_sec", tput_zc);
   report.trajectory("os.copies_per_msg", zc.copies_per_msg);
-  report.trajectory("os.copies_per_msg_legacy", legacy.copies_per_msg);
   report.trajectory("mem.bytes_per_session", zc.bytes_per_session);
-  report.trajectory("wall.speedup", speedup);
-  report.trajectory("digest.match", legacy.digest == zc.digest ? 1.0 : 0.0);
+  report.trajectory("digest.match", zc.digest == pinned ? 1.0 : 0.0);
   report.write();
 
   int failures = 0;
-  if (legacy.digest != zc.digest) {
-    std::printf("[FAIL] virtual-time digests differ between modes:\n  legacy:   %s\n"
-                "  zerocopy: %s\n",
-                legacy.digest.c_str(), zc.digest.c_str());
+  if (zc.digest != pinned) {
+    std::printf("[FAIL] virtual-time digest differs from the pinned digest:\n  pinned: %s\n"
+                "  run:    %s\n",
+                pinned.c_str(), zc.digest.c_str());
     ++failures;
-  } else if (legacy_prof.digest != legacy.digest || zc_prof.digest != zc.digest) {
-    std::printf("[FAIL] profiled passes diverged from timed passes (profiler leaked into "
+  } else if (zc_prof.digest != zc.digest) {
+    std::printf("[FAIL] profiled pass diverged from the timed pass (profiler leaked into "
                 "virtual time)\n");
     ++failures;
   } else {
-    std::printf("[gate] digest identity: OK (modes are behaviorally identical)\n");
+    std::printf("[gate] pinned digest: OK\n");
   }
   if (zc.copies_per_msg >= 3.0) {
     std::printf("[FAIL] os.copies_per_msg = %.2f (gate: < 3)\n", zc.copies_per_msg);
     ++failures;
   } else {
     std::printf("[gate] copies/msg %.2f < 3: OK\n", zc.copies_per_msg);
-  }
-  if (!smoke) {
-    if (speedup < 2.0) {
-      std::printf("[FAIL] wall speedup %.2fx (gate: >= 2.0x)\n", speedup);
-      ++failures;
-    } else {
-      std::printf("[gate] wall speedup %.2fx >= 2.0x: OK\n", speedup);
-    }
   }
   return failures == 0 ? 0 : 1;
 }

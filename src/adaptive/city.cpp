@@ -1,7 +1,6 @@
 #include "adaptive/city.hpp"
 
 #include "net/fault_injector.hpp"
-#include "sim/random.hpp"
 
 #include <algorithm>
 #include <cstring>
@@ -250,90 +249,24 @@ CityOutcome run_city(World& world, const CityOptions& opt) {
   return out;
 }
 
-CitySweepResult run_city_sweep(const CitySweepConfig& cfg) {
-  std::vector<std::uint64_t> seeds = cfg.seeds;
-  if (seeds.empty() && cfg.count > 0) {
-    const sim::Rng base(cfg.base_seed);
-    seeds.reserve(cfg.count);
-    for (std::size_t i = 0; i < cfg.count; ++i) seeds.push_back(base.fork(i).next_u64());
-  }
-
-  CitySweepResult out;
-  if (seeds.empty()) {
-    out.trace_digest = trace_digest(out.trace);
-    return out;
-  }
-
-  auto topology = cfg.topology;
-  if (!topology) {
-    topology = [](std::uint64_t seed) {
-      return [seed](sim::EventScheduler& s) { return net::make_ethernet_lan(s, 8, seed); };
-    };
-  }
-
-  struct ShardUnit {
-    unites::MetricRepository repo;
-    std::vector<unites::TraceEvent> trace;
-    std::uint64_t trace_emitted = 0;
-    CityOutcome outcome;
-  };
-  std::vector<ShardUnit> units(seeds.size());
-  const sim::ShardRunner runner(cfg.jobs);
-  runner.run(seeds.size(), [&](std::size_t i) {
-    const std::uint64_t seed = seeds[i];
-    ShardUnit& unit = units[i];
-
-    // Shard-local trace ring for the shard's whole lifetime, so nothing
-    // this shard emits can land in another shard's ring (DESIGN §9).
-    unites::TraceRecorder recorder;
-    if (cfg.capture_trace) recorder.enable(cfg.trace_capacity);
-    unites::ScopedTraceRecorder scoped(recorder);
-
-    World world(topology(seed), os::CpuConfig{}, city_limits(cfg.base));
-    CityOptions opt = cfg.base;
-    opt.seed = seed;
-    if (cfg.chaos > 0) {
-      // Chaos plans are pure functions of the seed (sized to this shard's
-      // world and horizon), so results stay independent of cfg.jobs.
-      RunOptions horizon;
-      horizon.seed = seed;
-      horizon.duration = opt.ramp + opt.hold;
-      horizon.drain = opt.drain;
-      const sim::ChaosProfile prof =
-          size_chaos_profile(cfg.chaos_profile, world, horizon, cfg.chaos);
-      opt.faults = sim::ChaosPlanGenerator(prof).generate(seed);
-    }
-    unit.outcome = run_city(world, opt);
-    unit.repo = std::move(world.repository());
-    if (cfg.capture_trace) {
-      unit.trace = recorder.snapshot();
-      unit.trace_emitted = recorder.emitted();
-    }
-  });
-
-  // Canonical fold: ascending seed index, regardless of completion order.
-  out.runs.reserve(units.size());
-  for (auto& unit : units) {
-    out.merged.merge(unit.repo);
-    out.trace.insert(out.trace.end(), unit.trace.begin(), unit.trace.end());
-    out.trace_events_emitted += unit.trace_emitted;
-    out.latency_ns.merge(unit.outcome.latency_ns);
-    out.opened += unit.outcome.opened;
-    out.refused += unit.outcome.refused;
-    out.messages_delivered += unit.outcome.messages_delivered;
-    out.cache.hits += unit.outcome.cache.hits;
-    out.cache.misses += unit.outcome.cache.misses;
-    out.cache.insertions += unit.outcome.cache.insertions;
-    out.cache.evictions += unit.outcome.cache.evictions;
-    out.cache.invalidations += unit.outcome.cache.invalidations;
-    out.residual_sessions += unit.outcome.residual_sessions;
-    out.runs.push_back(std::move(unit.outcome));
-  }
-  const std::uint64_t looks = out.cache.hits + out.cache.misses;
-  out.cache_hit_rate =
-      looks == 0 ? 0.0 : static_cast<double>(out.cache.hits) / static_cast<double>(looks);
-  out.trace_digest = trace_digest(out.trace);
-  return out;
+ShardFold<CityOutcome> run_city_sweep(const CityOptions& base,
+                                      const std::vector<std::uint64_t>& seeds,
+                                      std::size_t jobs, bool capture_trace) {
+  return fold_shards<CityOutcome>(
+      seeds, jobs, capture_trace, unites::TraceRecorder::kDefaultCapacity,
+      [&](std::uint64_t seed, const unites::TraceRecorder& ring, ShardYield& yield) {
+        World world([seed](sim::EventScheduler& s) { return net::make_ethernet_lan(s, 8, seed); },
+                    os::CpuConfig{}, city_limits(base));
+        CityOptions opt = base;
+        opt.seed = seed;
+        CityOutcome outcome = run_city(world, opt);
+        yield.repo = std::move(world.repository());
+        if (capture_trace) {
+          yield.trace = ring.snapshot();
+          yield.trace_emitted = ring.emitted();
+        }
+        return outcome;
+      });
 }
 
 }  // namespace adaptive

@@ -10,10 +10,10 @@
 // bytes per session, end-to-end latency percentiles under churn — are the
 // session-plane trajectory scalars bench_city gates on.
 //
-// run_city_sweep shards the same driver over seeds exactly like
-// run_sweep: per-seed Worlds that share nothing, shard-local trace rings,
-// and a canonical ascending-seed fold, so jobs=1 and jobs=8 produce
-// byte-identical merged results (DESIGN §9).
+// run_city_sweep shards the same driver over seeds through run_sweep's
+// fold (fold_shards): per-seed Worlds that share nothing, shard-local
+// trace rings, and a canonical ascending-seed fold, so jobs=1 and jobs=8
+// produce byte-identical merged results (DESIGN §9).
 #pragma once
 
 #include "adaptive/sweep.hpp"
@@ -106,40 +106,12 @@ struct CityOutcome {
 /// passive + churn margin) — pass to World's ResourceLimits.
 [[nodiscard]] mantts::ResourceLimits city_limits(const CityOptions& opt);
 
-struct CitySweepConfig {
-  /// Per-seed topology factory (defaults to an 8-host ethernet LAN).
-  std::function<World::TopologyFactory(std::uint64_t seed)> topology;
-  CityOptions base;  ///< `seed` is overwritten per shard
-  std::vector<std::uint64_t> seeds;
-  std::size_t count = 0;
-  std::uint64_t base_seed = 1;
-  std::size_t jobs = 1;
-  bool capture_trace = false;
-  std::size_t trace_capacity = unites::TraceRecorder::kDefaultCapacity;
-  /// > 0: derive a seed-pure adversarial FaultPlan per shard (same
-  /// contract as SweepConfig::chaos).
-  std::size_t chaos = 0;
-  sim::ChaosProfile chaos_profile;
-};
-
-struct CitySweepResult {
-  unites::MetricRepository merged;           ///< shard repos, seed order
-  std::vector<unites::TraceEvent> trace;     ///< concatenated, seed order
-  std::uint64_t trace_events_emitted = 0;
-  std::uint64_t trace_digest = 0;            ///< FNV-1a over `trace`
-  std::vector<CityOutcome> runs;             ///< seed order
-  unites::Histogram latency_ns;              ///< all shards merged
-  // Totals over all shards.
-  std::uint64_t opened = 0;
-  std::uint64_t refused = 0;
-  std::uint64_t messages_delivered = 0;
-  mantts::SynthesisCacheStats cache;
-  double cache_hit_rate = 0.0;
-  std::size_t residual_sessions = 0;
-};
-
-/// Run the city driver over many seeds on a ShardRunner pool. Results are
-/// independent of cfg.jobs (same fold contract as run_sweep).
-[[nodiscard]] CitySweepResult run_city_sweep(const CitySweepConfig& cfg);
+/// Run the city driver once per seed, each on its own 8-host ethernet LAN
+/// seeded by that seed, through fold_shards: results are independent of
+/// `jobs` (same fold contract as run_sweep). `capture_trace` records and
+/// merges each shard's trace ring.
+[[nodiscard]] ShardFold<CityOutcome> run_city_sweep(const CityOptions& base,
+                                                    const std::vector<std::uint64_t>& seeds,
+                                                    std::size_t jobs, bool capture_trace);
 
 }  // namespace adaptive

@@ -3,9 +3,13 @@
 #include "unites/export.hpp"
 #include "unites/flight_recorder.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_set>
 
 namespace adaptive {
 
@@ -36,16 +40,22 @@ void fnv_str(std::uint64_t& h, const char* s) {
   fnv_bytes(h, s, n);
 }
 
-struct ShardUnit {
-  unites::MetricRepository repo;
-  std::vector<unites::TraceEvent> trace;
-  std::uint64_t trace_emitted = 0;
+/// One scenario shard's run record: the summary every sweep keeps plus
+/// what only scenario sweeps fold.
+struct ScenarioShard {
   SweepRunSummary summary;
   unites::ProfileTree profile;
-  std::vector<unites::MessageSpan> spans;
-  unites::Timeline timeline;
   bool flight_dumped = false;
 };
+
+/// Strict decimal seed: the whole token is digits and fits in 64 bits.
+/// std::from_chars takes no sign, skips no whitespace and reports
+/// overflow instead of saturating.
+bool parse_seed(std::string_view tok, std::uint64_t& v) {
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  return ec == std::errc{} && ptr == end;
+}
 
 /// The mechanism zone accountable for a violated invariant: loss and
 /// stall rules belong to the reliability scheme that was in force;
@@ -86,39 +96,52 @@ std::uint64_t trace_digest(const std::vector<unites::TraceEvent>& events) {
 }
 
 std::vector<std::uint64_t> parse_seed_set(const std::string& text, std::string* error) {
-  std::vector<std::uint64_t> out;
   auto fail = [&](const std::string& why) {
-    if (error != nullptr) *error = why;
+    if (error != nullptr) *error = why + " in '" + text + "'";
     return std::vector<std::uint64_t>{};
   };
   if (text.empty()) return fail("empty seed set");
-  const auto range = text.find("..");
-  if (range != std::string::npos) {
-    char* end = nullptr;
-    const std::uint64_t lo = std::strtoull(text.c_str(), &end, 10);
-    if (end != text.c_str() + range) return fail("bad range start in '" + text + "'");
-    const char* hi_begin = text.c_str() + range + 2;
-    const std::uint64_t hi = std::strtoull(hi_begin, &end, 10);
-    if (end == hi_begin || *end != '\0') return fail("bad range end in '" + text + "'");
-    if (hi < lo) return fail("range end below start in '" + text + "'");
+  const std::string_view all(text);
+  std::vector<std::uint64_t> out;
+  if (const auto range = all.find(".."); range != std::string_view::npos) {
+    const std::string_view lo_tok = all.substr(0, range);
+    const std::string_view hi_tok = all.substr(range + 2);
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    if (!parse_seed(lo_tok, lo)) return fail("bad range start '" + std::string(lo_tok) + "'");
+    if (!parse_seed(hi_tok, hi)) return fail("bad range end '" + std::string(hi_tok) + "'");
+    if (hi < lo) return fail("range end below start");
     if (hi - lo >= 1'000'000) return fail("seed range too large (max 1e6 seeds)");
-    for (std::uint64_t s = lo; s <= hi; ++s) out.push_back(s);
+    // Count up from lo rather than compare against hi: a range ending at
+    // the largest seed must not wrap.
+    for (std::uint64_t k = 0; k <= hi - lo; ++k) out.push_back(lo + k);
     return out;
   }
+  std::unordered_set<std::uint64_t> seen;
   std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string tok = text.substr(pos, comma - pos);
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(tok.c_str(), &end, 10);
-    if (tok.empty() || end != tok.c_str() + tok.size()) {
-      return fail("bad seed '" + tok + "' in '" + text + "'");
+  while (true) {
+    const std::size_t comma = std::min(all.find(',', pos), all.size());
+    const std::string_view tok = all.substr(pos, comma - pos);
+    std::uint64_t v = 0;
+    if (tok.empty()) return fail("empty seed list item");
+    if (!parse_seed(tok, v)) return fail("bad seed '" + std::string(tok) + "'");
+    if (!seen.insert(v).second) {
+      // Two shards of one seed would race on its seed-named exports.
+      return fail("duplicate seed '" + std::string(tok) + "'");
     }
     out.push_back(v);
+    if (comma == all.size()) return out;
     pos = comma + 1;
   }
-  return out;
+}
+
+std::vector<std::uint64_t> sweep_seeds(std::vector<std::uint64_t> seeds, std::size_t count,
+                                       std::uint64_t base_seed) {
+  if (!seeds.empty() || count == 0) return seeds;
+  const sim::Rng base(base_seed);
+  seeds.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) seeds.push_back(base.fork(i).next_u64());
+  return seeds;
 }
 
 sim::ChaosProfile size_chaos_profile(sim::ChaosProfile base, const World& world,
@@ -145,41 +168,19 @@ sim::ChaosProfile size_chaos_profile(sim::ChaosProfile base, const World& world,
 SweepResult run_sweep(const SweepConfig& cfg) {
   if (!cfg.topology) throw std::invalid_argument("run_sweep: cfg.topology is required");
 
-  std::vector<std::uint64_t> seeds = cfg.seeds;
-  if (seeds.empty() && cfg.count > 0) {
-    // Shard-id-keyed streams: seed i is a pure function of (base_seed, i).
-    const sim::Rng base(cfg.base_seed);
-    seeds.reserve(cfg.count);
-    for (std::size_t i = 0; i < cfg.count; ++i) seeds.push_back(base.fork(i).next_u64());
-  }
-
-  SweepResult out;
-  if (seeds.empty()) {
-    out.trace_digest = trace_digest(out.trace);
-    return out;
-  }
-
   // A flight recorder needs the evidence even when the caller didn't ask
   // for it in the sweep result: force per-shard trace + profile capture.
   const bool flight_armed = !cfg.flight_recorder_dir.empty();
   const bool want_trace = cfg.capture_trace || cfg.capture_spans || flight_armed;
   const bool want_profile = cfg.capture_profile || flight_armed;
 
-  std::vector<ShardUnit> units(seeds.size());
-  const sim::ShardRunner runner(cfg.jobs);
-  runner.run(seeds.size(), [&](std::size_t i) {
-    const std::uint64_t seed = seeds[i];
-    ShardUnit& unit = units[i];
+  // One scenario shard; fold_shards owns its trace ring.
+  const auto shard = [&](std::uint64_t seed, const unites::TraceRecorder& ring,
+                         ShardYield& yield) {
+    ScenarioShard unit;
 
-    // Shard-local trace ring: installed for this shard's whole lifetime so
-    // world construction (connection setup, synthesis) is on the timeline,
-    // and nothing this shard emits can land in another shard's ring.
-    unites::TraceRecorder recorder;
-    if (want_trace) recorder.enable(cfg.trace_capacity);
-    unites::ScopedTraceRecorder scoped(recorder);
-
-    // Shard-local profiler, same isolation rule. The World binds its
-    // scheduler as the virtual clock on construction.
+    // Shard-local profiler, same isolation rule as the trace ring. The
+    // World binds its scheduler as the virtual clock on construction.
     unites::Profiler profiler;
     if (want_profile) profiler.enable();
     unites::ScopedProfiler scoped_prof(profiler);
@@ -203,7 +204,7 @@ SweepResult run_sweep(const SweepConfig& cfg) {
     // One snapshot of the shard's ring feeds the spans, the sweep result
     // and the flight bundle.
     std::vector<unites::TraceEvent> trace;
-    if (want_trace) trace = recorder.snapshot();
+    if (want_trace) trace = ring.snapshot();
     std::vector<unites::MessageSpan> spans;
     if (cfg.capture_spans || flight_armed) {
       spans = unites::assemble_spans(trace);
@@ -215,8 +216,8 @@ SweepResult run_sweep(const SweepConfig& cfg) {
       unites::record_span_breakdown(spans, world.repository());
     }
 
-    unit.repo = std::move(world.repository());
-    if (cfg.capture_trace) unit.trace_emitted = recorder.emitted();
+    yield.repo = std::move(world.repository());
+    if (cfg.capture_trace) yield.trace_emitted = ring.emitted();
     if (want_profile) unit.profile = profiler.snapshot();
     unit.summary.seed = seed;
     unit.summary.qos_pass = outcome.qos.all_ok() && !outcome.refused;
@@ -254,8 +255,8 @@ SweepResult run_sweep(const SweepConfig& cfg) {
     unit.summary.qoe = outcome.conformance.qoe;
     unit.summary.first_breach_ns = outcome.conformance.first_breach_ns;
     if (cfg.capture_timeline) {
-      unit.timeline = std::move(outcome.timeline);
-      for (auto& p : unit.timeline) p.seed = seed;
+      yield.timeline = std::move(outcome.timeline);
+      for (auto& p : yield.timeline) p.seed = seed;
     }
 
     // Post-mortem: the shard that observed the failure ships the bundle
@@ -284,7 +285,7 @@ SweepResult run_sweep(const SweepConfig& cfg) {
       if (opt.faults.has_value()) bundle.fault_plan = opt.faults->describe();
       bundle.chaos_plan = unit.summary.chaos_plan;
       std::ostringstream metrics;
-      unites::write_metrics_jsonl(metrics, unit.repo);
+      unites::write_metrics_jsonl(metrics, yield.repo);
       bundle.metrics_jsonl = metrics.str();
       bundle.resource_json = outcome.resource.to_json();
       if (outcome.qos.windowed) bundle.conformance_json = outcome.conformance.to_json();
@@ -297,33 +298,26 @@ SweepResult run_sweep(const SweepConfig& cfg) {
       unites::FlightRecorder(cfg.flight_recorder_dir).dump(bundle);
       unit.flight_dumped = true;
     }
-    if (cfg.capture_trace) unit.trace = std::move(trace);
-    if (cfg.capture_spans) unit.spans = std::move(spans);
-  });
+    if (cfg.capture_trace) yield.trace = std::move(trace);
+    if (cfg.capture_spans) yield.spans = std::move(spans);
+    return unit;
+  };
+  auto fold = fold_shards<ScenarioShard>(sweep_seeds(cfg.seeds, cfg.count, cfg.base_seed),
+                                         cfg.jobs, want_trace, cfg.trace_capacity, shard);
 
-  // Canonical fold: ascending seed index, regardless of completion order.
-  // Each shard buffer is appended once into a presized result.
-  std::size_t trace_events = 0;
-  std::size_t span_count = 0;
-  for (const auto& unit : units) {
-    trace_events += unit.trace.size();
-    span_count += unit.spans.size();
-  }
-  out.trace.reserve(trace_events);
-  out.spans.reserve(span_count);
-  out.runs.reserve(units.size());
-  for (auto& unit : units) {
-    out.merged.merge(unit.repo);
-    out.trace.insert(out.trace.end(), unit.trace.begin(), unit.trace.end());
-    out.trace_events_emitted += unit.trace_emitted;
+  SweepResult out;
+  out.merged = std::move(fold.merged);
+  out.trace = std::move(fold.trace);
+  out.trace_events_emitted = fold.trace_events_emitted;
+  out.trace_digest = fold.trace_digest;
+  out.spans = std::move(fold.spans);
+  out.timeline = std::move(fold.timeline);
+  out.runs.reserve(fold.runs.size());
+  for (auto& unit : fold.runs) {
     out.runs.push_back(std::move(unit.summary));
     if (cfg.capture_profile) out.profile.merge(unit.profile);
-    out.spans.insert(out.spans.end(), unit.spans.begin(), unit.spans.end());
-    out.timeline.insert(out.timeline.end(), std::make_move_iterator(unit.timeline.begin()),
-                        std::make_move_iterator(unit.timeline.end()));
     if (unit.flight_dumped) ++out.flight_bundles;
   }
-  out.trace_digest = trace_digest(out.trace);
   return out;
 }
 

@@ -1,13 +1,15 @@
-// Sharded scenario sweeps: run one scenario configuration over many seeds,
-// in parallel, with results that are byte-identical to a serial run.
+// Sharded sweeps: run one configuration over many seeds, in parallel,
+// with results that are byte-identical to a serial run.
 //
 // Each seed gets its own shard: a private World (its own scheduler,
 // topology, hosts, metric repository) plus a shard-local UNITES trace ring
 // installed for the duration of the run, so shards share *nothing*
 // mutable. The merge step then folds per-shard repositories, trace
-// buffers, and outcome summaries in ascending seed-index order — a fixed
+// buffers, and run records in ascending seed-index order — a fixed
 // canonical order — so the merged report does not depend on which thread
-// finished first or how many threads ran (DESIGN.md §9).
+// finished first or how many threads ran (DESIGN.md §9). fold_shards is
+// that machinery; run_sweep (scenarios) and run_city_sweep (city.hpp) are
+// two shard bodies over it.
 #pragma once
 
 #include "adaptive/scenario.hpp"
@@ -15,10 +17,12 @@
 #include "sim/shard_runner.hpp"
 #include "unites/profiler.hpp"
 #include "unites/repository.hpp"
+#include "unites/sampler.hpp"
 #include "unites/spans.hpp"
 #include "unites/trace.hpp"
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -33,7 +37,7 @@ struct SweepConfig {
   RunOptions base;
 
   /// Explicit seed list. If empty, `count` seeds are derived from
-  /// `base_seed` via sim::Rng::fork(index) — shard-id-keyed streams.
+  /// `base_seed` (see sweep_seeds).
   std::vector<std::uint64_t> seeds;
   std::size_t count = 0;
   std::uint64_t base_seed = 1;
@@ -158,10 +162,85 @@ struct SweepResult {
 /// stream order. Two streams digest equal iff they are field-identical.
 [[nodiscard]] std::uint64_t trace_digest(const std::vector<unites::TraceEvent>& events);
 
-/// Parse a CLI seed set: either an inclusive range "A..B" or a comma list
-/// "a,b,c". Returns empty and reports through `error` on malformed input.
+/// Parse a CLI seed set: either an inclusive range "A..B" (at most 1e6
+/// seeds) or a comma list "a,b,c" of distinct seeds. Every seed is plain
+/// decimal digits that fit in 64 bits: no sign, no whitespace, no empty
+/// list item. Returns empty and names the bad token through `error` on
+/// malformed input.
 [[nodiscard]] std::vector<std::uint64_t> parse_seed_set(const std::string& text,
                                                         std::string* error = nullptr);
+
+/// The seeds a sweep runs: `seeds` when non-empty, else `count` seeds
+/// derived from `base_seed` via sim::Rng::fork(index) — shard-id-keyed
+/// streams, so seed i is a pure function of (base_seed, i).
+[[nodiscard]] std::vector<std::uint64_t> sweep_seeds(std::vector<std::uint64_t> seeds,
+                                                     std::size_t count, std::uint64_t base_seed);
+
+/// What a shard body hands to fold_shards besides its run record. Each
+/// stream is concatenated in seed order; an empty one contributes nothing.
+struct ShardYield {
+  unites::MetricRepository repo;  ///< the shard World's repository
+  std::vector<unites::TraceEvent> trace;
+  std::uint64_t trace_emitted = 0;
+  std::vector<unites::MessageSpan> spans;  ///< stamped with the shard's seed
+  unites::Timeline timeline;               ///< stamped with the shard's seed
+};
+
+/// The canonical fold of one sharded sweep.
+template <typename Run>
+struct ShardFold {
+  /// All shard repositories folded in seed order.
+  unites::MetricRepository merged;
+  /// All yielded trace streams concatenated in seed order (each stream is
+  /// in its shard's emission order).
+  std::vector<unites::TraceEvent> trace;
+  std::uint64_t trace_events_emitted = 0;
+  /// trace_digest(trace).
+  std::uint64_t trace_digest = 0;
+  std::vector<unites::MessageSpan> spans;  ///< seed order
+  unites::Timeline timeline;               ///< seed order
+  std::vector<Run> runs;                   ///< seed order
+};
+
+/// Run `body(seed, ring, yield) -> Run` once per seed on a sim::ShardRunner
+/// pool of `jobs` workers, then fold the yields and run records in
+/// ascending seed order (each shard's buffers are appended once into
+/// presized results). `ring` is the shard's own trace recorder,
+/// installed as the thread's current recorder for the body's whole
+/// lifetime (so world construction is on the timeline) and enabled at
+/// `capacity` when `record_trace`. The result is independent of `jobs`.
+template <typename Run, typename Body>
+[[nodiscard]] ShardFold<Run> fold_shards(const std::vector<std::uint64_t>& seeds,
+                                         std::size_t jobs, bool record_trace,
+                                         std::size_t capacity, Body&& body) {
+  ShardFold<Run> out;
+  out.runs.resize(seeds.size());
+  std::vector<ShardYield> yields(seeds.size());
+  sim::ShardRunner(jobs).run(seeds.size(), [&](std::size_t i) {
+    unites::TraceRecorder ring;
+    if (record_trace) ring.enable(capacity);
+    unites::ScopedTraceRecorder scoped(ring);
+    out.runs[i] = body(seeds[i], ring, yields[i]);
+  });
+  std::size_t events = 0;
+  std::size_t span_count = 0;
+  for (const auto& y : yields) {
+    events += y.trace.size();
+    span_count += y.spans.size();
+  }
+  out.trace.reserve(events);
+  out.spans.reserve(span_count);
+  for (auto& y : yields) {
+    out.merged.merge(y.repo);
+    out.trace.insert(out.trace.end(), y.trace.begin(), y.trace.end());
+    out.trace_events_emitted += y.trace_emitted;
+    out.spans.insert(out.spans.end(), y.spans.begin(), y.spans.end());
+    out.timeline.insert(out.timeline.end(), std::make_move_iterator(y.timeline.begin()),
+                        std::make_move_iterator(y.timeline.end()));
+  }
+  out.trace_digest = trace_digest(out.trace);
+  return out;
+}
 
 /// Run the sweep. Shards execute on a sim::ShardRunner pool with
 /// cfg.jobs workers; the result is independent of cfg.jobs.

@@ -4,20 +4,6 @@
 
 namespace adaptive {
 
-namespace {
-
-/// The bottom of each host's protocol graph: a stand-in for the
-/// network-interface protocol (the NIC handles actual delivery; this node
-/// exists so the graph expresses the layering the paper draws).
-class HostInterfaceProtocol final : public tko::Protocol {
-public:
-  HostInterfaceProtocol() : Protocol("host-if") {}
-  void demux(net::Packet&&) override {}
-  [[nodiscard]] std::size_t session_count() const override { return 0; }
-};
-
-}  // namespace
-
 World::World(const TopologyFactory& make_topology, const os::CpuConfig& cpu,
              const mantts::ResourceLimits& limits, const os::NicConfig& nic)
     : topo_(make_topology(sched_)) {
@@ -26,15 +12,9 @@ World::World(const TopologyFactory& make_topology, const os::CpuConfig& cpu,
   unites::Profiler::current().bind_clock(&sched_);
   for (const net::NodeId h : topo_.hosts) {
     hosts_.push_back(std::make_unique<os::Host>(*topo_.network, h, cpu, nic));
-    // Per-host protocol graph: adaptive-transport layered over host-if.
-    graphs_.push_back(std::make_unique<tko::ProtocolGraph>());
-    auto& transport = static_cast<tko::AdaptiveTransport&>(
-        graphs_.back()->insert(std::make_unique<tko::AdaptiveTransport>(*hosts_.back())));
-    graphs_.back()->insert(std::make_unique<HostInterfaceProtocol>());
-    graphs_.back()->layer("adaptive-transport", "host-if");
-    transports_.push_back(&transport);
+    transports_.push_back(std::make_unique<tko::AdaptiveTransport>(*hosts_.back()));
     entities_.push_back(
-        std::make_unique<mantts::MantttsEntity>(*hosts_.back(), transport, limits));
+        std::make_unique<mantts::MantttsEntity>(*hosts_.back(), *transports_.back(), limits));
     entities_.back()->set_repository(&repo_);
     entities_.back()->set_conformance(&conformance_);
   }
@@ -45,7 +25,7 @@ unites::ResourceSnapshot World::resource_snapshot() const {
   unites::ResourceSnapshot snap;
   snap.when = sched_.now();
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    snap.capture_host(*hosts_[i], i < transports_.size() ? transports_[i] : nullptr);
+    snap.capture_host(*hosts_[i], i < transports_.size() ? transports_[i].get() : nullptr);
   }
   return snap;
 }
@@ -65,7 +45,6 @@ World::~World() {
   host_collectors_.clear();
   entities_.clear();
   transports_.clear();
-  graphs_.clear();
   hosts_.clear();
 }
 

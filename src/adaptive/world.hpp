@@ -8,7 +8,6 @@
 #include "mantts/mantts.hpp"
 #include "net/topologies.hpp"
 #include "os/host.hpp"
-#include "tko/protocol_graph.hpp"
 #include "tko/transport.hpp"
 #include "unites/collector.hpp"
 #include "unites/conformance.hpp"
@@ -43,9 +42,6 @@ public:
   [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
   [[nodiscard]] os::Host& host(std::size_t i) { return *hosts_.at(i); }
   [[nodiscard]] tko::AdaptiveTransport& transport(std::size_t i) { return *transports_.at(i); }
-  /// Each host's protocol graph (x-kernel style): the ADAPTIVE transport
-  /// layered over the network-interface protocol.
-  [[nodiscard]] tko::ProtocolGraph& protocol_graph(std::size_t i) { return *graphs_.at(i); }
   [[nodiscard]] mantts::MantttsEntity& mantts(std::size_t i) { return *entities_.at(i); }
   [[nodiscard]] net::NodeId node(std::size_t i) const { return topo_.hosts.at(i); }
   [[nodiscard]] net::Address transport_address(std::size_t i) const {
@@ -72,8 +68,7 @@ private:
   unites::MetricRepository repo_;
   unites::ConformanceMonitor conformance_;
   std::vector<std::unique_ptr<os::Host>> hosts_;
-  std::vector<std::unique_ptr<tko::ProtocolGraph>> graphs_;
-  std::vector<tko::AdaptiveTransport*> transports_;  ///< owned by graphs_
+  std::vector<std::unique_ptr<tko::AdaptiveTransport>> transports_;
   std::vector<std::unique_ptr<mantts::MantttsEntity>> entities_;
   std::vector<std::unique_ptr<unites::HostCollector>> host_collectors_;
 };

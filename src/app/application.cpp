@@ -139,15 +139,8 @@ void SinkApp::on_message(tko::Message&& m) {
   stats_.last_arrival = now;
   // The common case borrows the reassembled record in place (one segment
   // after consume-based header strips); a fragmented record costs a single
-  // recorded gather. The legacy path always linearizes.
-  std::vector<std::uint8_t> legacy;
-  std::span<const std::uint8_t> bytes;
-  if (tko::legacy_copy_path()) {
-    legacy = m.linearize();
-    bytes = legacy;
-  } else {
-    bytes = m.flat();
-  }
+  // recorded gather.
+  const std::span<const std::uint8_t> bytes = m.flat();
   stats_.bytes_received += bytes.size();
 
   UnitHeader h;

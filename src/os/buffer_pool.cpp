@@ -4,13 +4,6 @@
 
 namespace adaptive::os {
 
-namespace {
-bool g_legacy_alloc_path = false;
-}  // namespace
-
-bool legacy_alloc_path() { return g_legacy_alloc_path; }
-void set_legacy_alloc_path(bool on) { g_legacy_alloc_path = on; }
-
 BufferRef BufferPool::allocate(std::size_t size) {
   std::size_t actual = size;
   if (scheme_ == BufferScheme::kFixedSize) {
@@ -28,23 +21,19 @@ BufferRef BufferPool::allocate(std::size_t size) {
   // buffer outlives its pool.
   const std::shared_ptr<Ledger> ledger = ledger_;
   Buffer* raw = nullptr;
-  if (!legacy_alloc_path()) {
-    auto it = ledger->cache.find(actual);
-    if (it != ledger->cache.end() && !it->second.empty()) {
-      raw = it->second.back().release();
-      it->second.pop_back();
-    }
+  auto it = ledger->cache.find(actual);
+  if (it != ledger->cache.end() && !it->second.empty()) {
+    raw = it->second.back().release();
+    it->second.pop_back();
   }
   if (raw == nullptr) raw = new Buffer(actual);
   return BufferRef(raw, [ledger, actual](Buffer* b) {
     ++ledger->frees;
     ledger->freed_bytes += actual;
-    if (!legacy_alloc_path()) {
-      auto& bin = ledger->cache[actual];
-      if (bin.size() < kMaxCachedPerSize) {
-        bin.emplace_back(b);
-        return;
-      }
+    auto& bin = ledger->cache[actual];
+    if (bin.size() < kMaxCachedPerSize) {
+      bin.emplace_back(b);
+      return;
     }
     delete b;
   });

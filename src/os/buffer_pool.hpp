@@ -23,16 +23,6 @@
 
 namespace adaptive::os {
 
-/// Process-wide switch mirroring tko's set_legacy_copy_path for the os
-/// layer: when on, every allocation hits the allocator and every free
-/// returns to it (the pre-PR pool behavior). When off (the default), the
-/// pool recycles freed buffers by exact capacity — the datapath allocates
-/// a handful of hot sizes (PDU payload, header, trailer), so reuse hits
-/// nearly always. The stats ledger sees identical alloc/free traffic in
-/// both modes; only the allocator traffic differs.
-[[nodiscard]] bool legacy_alloc_path();
-void set_legacy_alloc_path(bool on);
-
 enum class BufferScheme { kFixedSize, kVariableSize };
 
 struct BufferPoolStats {
@@ -47,6 +37,10 @@ struct BufferPoolStats {
   std::uint64_t wasted_bytes = 0;  ///< fixed-size rounding slack
 };
 
+/// The pool recycles freed buffers by exact capacity: the datapath
+/// allocates a handful of hot sizes (PDU payload, header, trailer), so
+/// reuse hits nearly always. The stats ledger counts every allocate and
+/// free whether or not the allocator itself is touched.
 class BufferPool {
 public:
   explicit BufferPool(BufferScheme scheme = BufferScheme::kVariableSize,

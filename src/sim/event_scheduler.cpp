@@ -1,5 +1,6 @@
 #include "sim/event_scheduler.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <stdexcept>
@@ -27,24 +28,13 @@ bool EventHandle::pending() const {
   return state_ && !state_->cancelled && !state_->fired;
 }
 
-namespace {
-bool g_legacy_heap_mode = false;
-}  // namespace
-
-bool legacy_heap_mode() { return g_legacy_heap_mode; }
-void set_legacy_heap_mode(bool on) { g_legacy_heap_mode = on; }
-
 EventHandle EventScheduler::schedule_at(SimTime when, Callback cb) {
   if (when < now_) {
     throw std::invalid_argument("EventScheduler::schedule_at: time " + when.to_string() +
                                 " is in the past (now=" + now_.to_string() + ")");
   }
   auto state = std::make_shared<EventHandle::State>();
-  if (use_heap_) {
-    heap_.push(Entry{when, next_seq_++, std::move(cb), state});
-  } else {
-    insert(Entry{when, next_seq_++, std::move(cb), state});
-  }
+  insert(Entry{when, next_seq_++, std::move(cb), state});
   ++pending_;
   return EventHandle(std::move(state));
 }
@@ -54,35 +44,8 @@ void EventScheduler::post_at(SimTime when, Callback cb) {
     throw std::invalid_argument("EventScheduler::post_at: time " + when.to_string() +
                                 " is in the past (now=" + now_.to_string() + ")");
   }
-  if (use_heap_) {
-    heap_.push(Entry{when, next_seq_++, std::move(cb), nullptr});
-  } else {
-    insert(Entry{when, next_seq_++, std::move(cb), nullptr});
-  }
+  insert(Entry{when, next_seq_++, std::move(cb), nullptr});
   ++pending_;
-}
-
-bool EventScheduler::heap_fire_next(SimTime limit) {
-  // The pre-wheel event queue, preserved for bench_hotpath's before/after
-  // comparison: O(log n) push and pop per event. Limit handling matches
-  // fire_next exactly so the two modes stay bit-identical in virtual time.
-  while (!heap_.empty()) {
-    if (heap_.top().state && heap_.top().state->cancelled) {
-      heap_.pop();
-      --pending_;
-      continue;
-    }
-    if (heap_.top().when > limit) return false;
-    Entry e = std::move(const_cast<Entry&>(heap_.top()));
-    heap_.pop();
-    --pending_;
-    now_ = e.when;
-    if (e.state) e.state->fired = true;
-    ++executed_;
-    e.cb();
-    return true;
-  }
-  return false;
 }
 
 void EventScheduler::insert(Entry&& e) {
@@ -127,7 +90,15 @@ bool EventScheduler::fire_next(SimTime limit) {
     int level = 0;
     int idx = 0;
     std::uint64_t start = 0;
-    if (!min_slot(level, idx, start)) return false;
+    if (!min_slot(level, idx, start)) {
+      // Empty wheel. Cascading slots that held only cancelled entries can
+      // leave the cursor past now() (step()/run() have no limit to stop
+      // them); a later insert between now() and the cursor would then file
+      // behind it. No entry depends on the cursor any more, so pull it
+      // back to the clock.
+      cursor_tick_ = std::min(cursor_tick_, tick_of(now_));
+      return false;
+    }
     // `start` lower-bounds every pending event's time. Stop — without
     // advancing the cursor — when even that bound lies past the limit;
     // advancing here would let a later schedule_at land behind the cursor.
@@ -152,8 +123,8 @@ bool EventScheduler::fire_next(SimTime limit) {
     }
 
     auto& sv = slot(0, idx);
-    // Purge cancelled entries as they are encountered (the heap removed
-    // them on pop; the counters keep the same meaning).
+    // Purge cancelled entries as they are encountered; pending_ counts
+    // them until then.
     std::size_t k = 0;
     while (k < sv.size()) {
       if (sv[k].state && sv[k].state->cancelled) {
@@ -192,28 +163,18 @@ bool EventScheduler::fire_next(SimTime limit) {
   }
 }
 
-bool EventScheduler::step() {
-  return use_heap_ ? heap_fire_next(SimTime::infinity()) : fire_next(SimTime::infinity());
-}
+bool EventScheduler::step() { return fire_next(SimTime::infinity()); }
 
 std::size_t EventScheduler::run_until(SimTime until) {
   std::size_t n = 0;
-  if (use_heap_) {
-    while (heap_fire_next(until)) ++n;
-  } else {
-    while (fire_next(until)) ++n;
-  }
+  while (fire_next(until)) ++n;
   if (now_ < until) now_ = until;
   return n;
 }
 
 std::size_t EventScheduler::run() {
   std::size_t n = 0;
-  if (use_heap_) {
-    while (heap_fire_next(SimTime::infinity())) ++n;
-  } else {
-    while (fire_next(SimTime::infinity())) ++n;
-  }
+  while (fire_next(SimTime::infinity())) ++n;
   return n;
 }
 

@@ -19,7 +19,8 @@
 // heap paid O(log n) twice.
 //
 // Invariants (the correctness spine of the wheel):
-//   * cursor_tick_ is monotonic and never exceeds the minimum pending tick;
+//   * cursor_tick_ never exceeds the minimum pending tick, and only moves
+//     back (to now()) when the wheel is empty;
 //   * every pending entry at level L agrees with the cursor in all digits
 //     above L, so its slot alone determines its absolute tick range;
 //   * a level-0 slot therefore holds exactly one tick value — same-tick
@@ -33,23 +34,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 namespace adaptive::sim {
 
 class EventScheduler;
-
-/// When set, newly constructed EventSchedulers use the pre-wheel binary
-/// heap (std::priority_queue) event queue, mirroring tko's
-/// set_legacy_copy_path: bench_hotpath flips both to reconstruct the
-/// pre-refactor hot path inside one binary and measure the wheel against
-/// it. The flag is sampled at scheduler construction, so flipping it never
-/// affects a live scheduler. Event ordering — and therefore every
-/// virtual-time result — is identical in both modes; only wall time
-/// differs.
-[[nodiscard]] bool legacy_heap_mode();
-void set_legacy_heap_mode(bool on);
 
 /// Cancellation handle for a scheduled event. Copyable; cancelling any copy
 /// cancels the event. A default-constructed handle refers to nothing.
@@ -124,13 +113,6 @@ private:
     Callback cb;
     std::shared_ptr<EventHandle::State> state;  ///< null for post_at events
   };
-  /// (when, seq) min-heap order for the legacy binary-heap mode.
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
 
   static constexpr int kTickShift = 10;  ///< 1024 ns per wheel tick
   static constexpr int kSlotBits = 6;    ///< 64 slots per level
@@ -159,21 +141,15 @@ private:
   /// Returns false when the wheel is empty or nothing is eligible.
   bool fire_next(SimTime limit);
 
-  /// Legacy-heap equivalent of fire_next (identical semantics).
-  bool heap_fire_next(SimTime limit);
-
-  const bool use_heap_ = legacy_heap_mode();  ///< sampled at construction
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t pending_ = 0;
-  /// Wheel position in ticks; monotonic, always <= the minimum pending
-  /// entry's tick.
+  /// Wheel position in ticks; always <= the minimum pending entry's tick,
+  /// and <= tick_of(now()) between calls.
   std::uint64_t cursor_tick_ = 0;
   std::array<std::uint64_t, kLevels> occupied_{};  ///< per-level slot bitmaps
   std::array<std::vector<Entry>, static_cast<std::size_t>(kLevels) * kSlots> slots_;
-  /// Legacy-heap mode only (use_heap_); empty otherwise.
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
 };
 
 }  // namespace adaptive::sim

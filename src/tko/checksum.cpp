@@ -1,7 +1,5 @@
 #include "tko/checksum.hpp"
 
-#include "tko/message.hpp"  // legacy_copy_path()
-
 #include <array>
 #include <bit>
 #include <cstring>
@@ -9,19 +7,6 @@
 namespace adaptive::tko {
 
 namespace {
-
-/// Pre-refactor inner loop: one 16-bit word per iteration. Kept so the
-/// legacy mode bench_hotpath restores measures the genuine pre-PR
-/// per-byte cost, not today's word-at-a-time core.
-std::uint64_t ones_sum_be_bytewise(std::span<const std::uint8_t> data) {
-  std::uint64_t sum = 0;
-  std::size_t i = 0;
-  for (; i + 1 < data.size(); i += 2) {
-    sum += static_cast<std::uint16_t>((data[i] << 8) | data[i + 1]);
-  }
-  if (i < data.size()) sum += static_cast<std::uint16_t>(data[i] << 8);
-  return sum;
-}
 
 /// One's-complement sum of `data` folded to 16 bits, in big-endian word
 /// order, as if the span started on an even byte offset (odd-length spans
@@ -66,11 +51,6 @@ std::uint16_t ones_sum_be(std::span<const std::uint8_t> data) {
 }  // namespace
 
 std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
-  if (legacy_copy_path()) {
-    std::uint64_t sum = ones_sum_be_bytewise(data);
-    while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
-    return static_cast<std::uint16_t>(~sum & 0xFFFF);
-  }
   return static_cast<std::uint16_t>(~ones_sum_be(data) & 0xFFFF);
 }
 
@@ -104,7 +84,7 @@ void Crc32::update(std::span<const std::uint8_t> data) {
   std::uint32_t c = state_;
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
-  if (std::endian::native == std::endian::little && !legacy_copy_path()) {
+  if constexpr (std::endian::native == std::endian::little) {
     const auto& t = kCrcTables;
     while (n >= 8) {
       std::uint32_t lo;
@@ -133,17 +113,6 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
 
 void InternetChecksum::update(std::span<const std::uint8_t> data) {
   if (data.empty()) return;
-  if (legacy_copy_path()) {
-    // Pre-refactor behavior: byte-pair loop with the parity carried via
-    // the odd-offset identity below (cost model only — same result).
-    std::uint64_t sum = ones_sum_be_bytewise(data);
-    while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
-    std::uint16_t part16 = static_cast<std::uint16_t>(sum);
-    if (odd_) part16 = static_cast<std::uint16_t>((part16 << 8) | (part16 >> 8));
-    sum_ += part16;
-    if (data.size() & 1) odd_ = !odd_;
-    return;
-  }
   std::uint16_t part = ones_sum_be(data);
   if (odd_) {
     // A segment starting at an odd byte offset contributes the byte-swap

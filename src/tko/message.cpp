@@ -6,13 +6,6 @@
 
 namespace adaptive::tko {
 
-namespace {
-bool g_legacy_copy_path = false;
-}  // namespace
-
-bool legacy_copy_path() { return g_legacy_copy_path; }
-void set_legacy_copy_path(bool on) { g_legacy_copy_path = on; }
-
 os::BufferRef Message::alloc(std::size_t n) const {
   if (pool_ != nullptr) return pool_->allocate(n);
   return std::make_shared<os::Buffer>(n);

@@ -29,14 +29,6 @@
 
 namespace adaptive::tko {
 
-/// Process-wide switch that re-enables the pre-zero-copy data path
-/// (linearize on send, byte-image rebuild on receive, pop/peek header
-/// parsing). bench_hotpath flips this to measure the refactor's speedup
-/// against the legacy path inside one binary; virtual-time results are
-/// identical in both modes — only wall time and the copy ledger differ.
-[[nodiscard]] bool legacy_copy_path();
-void set_legacy_copy_path(bool on);
-
 class Message {
 public:
   /// An empty message. `pool` (optional) receives allocation/copy stats.
@@ -166,18 +158,8 @@ private:
     using iterator = Segment*;
     using const_iterator = const Segment*;
 
-    SegmentChain() {
-      // Pre-refactor the chain was a std::deque<Segment>, which eagerly
-      // allocates its index map and first node at construction; legacy
-      // mode restores that allocator traffic so the wall-time comparison
-      // charges the pre-PR path for the allocations the inline small
-      // buffer eliminated.
-      if (legacy_copy_path()) reserve(kLegacySpill);
-    }
-    SegmentChain(const SegmentChain& o) {
-      if (legacy_copy_path()) reserve(kLegacySpill);
-      append_from(o);
-    }
+    SegmentChain() = default;
+    SegmentChain(const SegmentChain& o) { append_from(o); }
     SegmentChain(SegmentChain&& o) noexcept { take_from(std::move(o)); }
     SegmentChain& operator=(const SegmentChain& o) {
       if (this != &o) {
@@ -240,9 +222,6 @@ private:
 
   private:
     static constexpr std::size_t kInline = 3;
-    /// Legacy-mode eager heap capacity: ~one 512-byte deque node's worth
-    /// of segments, mirroring what std::deque allocated up front.
-    static constexpr std::size_t kLegacySpill = 16;
 
     [[nodiscard]] Segment* inline_data() {
       return reinterpret_cast<Segment*>(inline_storage_);

@@ -70,11 +70,6 @@ std::uint32_t stream_checksum(const Message& m, ChecksumKind kind) {
     m.for_each_segment([&](std::span<const std::uint8_t> s) { c.update(s); });
     return c.value();
   }
-  if (legacy_copy_path()) {
-    // Pre-refactor path: one full gather pass just to checksum.
-    auto bytes = m.linearize();
-    return internet_checksum(bytes);
-  }
   // Odd segment boundaries fold across updates, so the Internet checksum
   // streams over the scatter/gather chain like CRC-32 does.
   InternetChecksum c;
@@ -87,10 +82,8 @@ std::uint32_t stream_checksum(const Message& m, ChecksumKind kind) {
 /// recorded peek copy into `scratch`.
 std::span<const std::uint8_t> read_prefix(const Message& m, std::size_t n,
                                           std::vector<std::uint8_t>& scratch) {
-  if (!legacy_copy_path()) {
-    auto direct = m.contiguous_prefix(n);
-    if (!direct.empty()) return direct;
-  }
+  auto direct = m.contiguous_prefix(n);
+  if (!direct.empty()) return direct;
   scratch = m.peek(n);
   return scratch;
 }
@@ -220,11 +213,7 @@ DecodeResult decode_pdu(Message&& wire) {
     p.aux = get_u32(&head[20]);
   }
 
-  if (legacy_copy_path()) {
-    (void)wire.pop(kPduHeaderBytes);
-  } else {
-    wire.consume(kPduHeaderBytes);  // offset adjust; header bytes never move
-  }
+  wire.consume(kPduHeaderBytes);  // offset adjust; header bytes never move
   p.payload = std::move(wire);
   r.pdu = std::move(p);
   r.status = DecodeStatus::kOk;

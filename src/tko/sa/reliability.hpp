@@ -33,13 +33,7 @@ public:
   }
   [[nodiscard]] std::size_t buffered_bytes() const override {
     // Maintained counter (O(1)): this gauge runs on the per-PDU
-    // memory-accounting path via TransportSession::live_bytes(). The
-    // legacy mode recomputes by walking the store, as the pre-PR code did.
-    if (legacy_copy_path()) {
-      std::size_t n = 0;
-      for (const auto& [seq, m] : st_.unacked) n += m.size();
-      return n;
-    }
+    // memory-accounting path via TransportSession::live_bytes().
     return st_.unacked_bytes;
   }
 

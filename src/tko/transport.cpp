@@ -254,14 +254,7 @@ std::size_t TransportSession::live_bytes() const {
   // All four terms are maintained counters, so the gauge is O(1): it runs
   // inside note_memory() at every send/receive choke point, where walking
   // the tx queue would cost O(queued TSDUs) per PDU.
-  std::size_t n = rx_assembly_.size();
-  if (legacy_copy_path()) {
-    // Pre-refactor gauge: recompute by walking the queue (bench_hotpath's
-    // legacy mode restores the real pre-PR per-PDU accounting cost).
-    tx_queue_.for_each([&n](const Message& m) { n += m.size(); });
-  } else {
-    n += tx_queue_bytes_;
-  }
+  std::size_t n = rx_assembly_.size() + tx_queue_bytes_;
   n += ctx_->reliability().buffered_bytes();
   n += ctx_->sequencing().held_bytes();
   return n;
@@ -349,21 +342,6 @@ void TransportSession::emit(Pdu&& p) {
 }
 
 void TransportSession::send_wire(Message&& wire) {
-  if (legacy_copy_path()) {
-    // Pre-refactor path: gather the segment chain into one flat wire
-    // image per packet (recorded) — exactly the linearize-into-packet-
-    // bytes the old vector-payload Packet did, with fan-out re-copying
-    // per remote.
-    for (std::size_t i = 0; i < remotes_.size(); ++i) {
-      net::Packet pkt;
-      pkt.src = local_;
-      pkt.dst = remotes_[i];
-      pkt.priority = cfg_.priority;
-      pkt.payload = wire.deep_copy();
-      proto_.host().send(std::move(pkt));
-    }
-    return;
-  }
   if (remotes_.size() == 1) {
     net::Packet pkt;
     pkt.src = local_;
@@ -392,10 +370,8 @@ void TransportSession::handle_packet(net::Packet&& p) {
   const std::size_t wire_bytes = p.payload.size();
   const net::NodeId from = p.src.node;
   // Adopt the wire image: the packet's segment chain becomes the session's,
-  // re-homed to this host's pool for copy accounting. The legacy path
-  // instead materializes a private flat buffer (the old vector->Message
-  // ingest memcpy), now recorded honestly.
-  Message wire = legacy_copy_path() ? p.payload.deep_copy() : std::move(p.payload);
+  // re-homed to this host's pool for copy accounting.
+  Message wire = std::move(p.payload);
   wire.set_pool(&buffers());
   proto_.host().cpu().run(rx_instr(wire_bytes), [this, alive = std::weak_ptr<char>(alive_),
                                                  wire = std::move(wire), from]() mutable {
@@ -424,11 +400,7 @@ void TransportSession::process_pdu(Pdu&& p, net::NodeId from) {
 
   if (p.has_flag(pdu_flags::kPiggybackConfig) && p.payload.size() >= sa::SessionConfig::kWireBytes) {
     // Config prefix was consumed at session-creation time; strip it here.
-    if (legacy_copy_path()) {
-      (void)p.payload.pop(sa::SessionConfig::kWireBytes);
-    } else {
-      p.payload.consume(sa::SessionConfig::kWireBytes);
-    }
+    p.payload.consume(sa::SessionConfig::kWireBytes);
   }
 
   switch (p.type) {
@@ -511,8 +483,7 @@ void TransportSession::deliver(Message&& m) {
   rx_assembly_.concat(std::move(m));
   while (rx_assembly_.size() >= 4) {
     std::uint8_t head[4];
-    auto pfx = legacy_copy_path() ? std::span<const std::uint8_t>{}
-                                  : rx_assembly_.contiguous_prefix(4);
+    auto pfx = rx_assembly_.contiguous_prefix(4);
     if (pfx.empty()) {
       const auto v = rx_assembly_.peek(4);
       std::copy(v.begin(), v.end(), head);
@@ -532,11 +503,7 @@ void TransportSession::deliver(Message&& m) {
       break;
     }
     if (rx_assembly_.size() < 4 + static_cast<std::size_t>(len)) break;
-    if (legacy_copy_path()) {
-      (void)rx_assembly_.pop(4);
-    } else {
-      rx_assembly_.consume(4);
-    }
+    rx_assembly_.consume(4);
     Message whole = rx_assembly_;
     rx_assembly_ = whole.split(len);
     ++stats_.messages_delivered;

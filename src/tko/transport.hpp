@@ -59,10 +59,6 @@ public:
     std::vector<Message>().swap(q_);  // free capacity: aborted queues can be large
     head_ = 0;
   }
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (std::size_t i = head_; i < q_.size(); ++i) fn(q_[i]);
-  }
 
 private:
   static constexpr std::size_t kCompactAt = 32;

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <numeric>
+#include <random>
 #include <span>
 
 namespace adaptive::tko {
@@ -325,6 +327,128 @@ TEST(Checksum, DetectsSingleBitFlip) {
   data[250] ^= 0x10;
   EXPECT_NE(internet_checksum(data), before16);
   EXPECT_NE(crc32(data), before32);
+}
+
+// ---------------------------------------------------------------------------
+// Differential checks: the word-at-a-time Internet checksum and the
+// slice-by-8 CRC-32 against one-byte-at-a-time references, over every
+// start alignment and the carry-stress patterns (all 0xFF saturates every
+// 16-bit lane; 0xFF/0x00 loads only high or only low bytes).
+// ---------------------------------------------------------------------------
+
+/// RFC 1071 reference: bytes at even offsets are the high halves of
+/// big-endian 16-bit words, bytes at odd offsets the low halves.
+class ReferenceInternetChecksum {
+public:
+  void add(std::uint8_t b) {
+    sum_ += (count_++ % 2 == 0) ? std::uint64_t{b} << 8 : std::uint64_t{b};
+  }
+  [[nodiscard]] std::uint16_t value() const {
+    std::uint64_t s = sum_;
+    while (s >> 16) s = (s & 0xFFFF) + (s >> 16);
+    return static_cast<std::uint16_t>(~s & 0xFFFF);
+  }
+
+private:
+  std::uint64_t sum_ = 0;
+  std::size_t count_ = 0;
+};
+
+/// Bitwise CRC-32 (IEEE 802.3, reflected), one bit per step.
+class ReferenceCrc32 {
+public:
+  void add(std::uint8_t b) {
+    c_ ^= b;
+    for (int k = 0; k < 8; ++k) c_ = (c_ & 1u) ? 0xEDB88320u ^ (c_ >> 1) : c_ >> 1;
+  }
+  [[nodiscard]] std::uint32_t value() const { return ~c_; }
+
+private:
+  std::uint32_t c_ = 0xFFFF'FFFFu;
+};
+
+constexpr std::size_t kMaxChecksumLen = 9216;  // jumbo-frame payload
+
+/// Pattern 0: seeded random; 1: all 0xFF; 2: alternating 0xFF/0x00.
+/// Padded by 7 bytes so any start offset 0..7 can read kMaxChecksumLen.
+std::vector<std::uint8_t> checksum_pattern(int pattern) {
+  std::vector<std::uint8_t> buf(kMaxChecksumLen + 7);
+  std::mt19937_64 rng(0xC0FFEE);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    switch (pattern) {
+      case 0: buf[i] = static_cast<std::uint8_t>(rng()); break;
+      case 1: buf[i] = 0xFF; break;
+      default: buf[i] = (i % 2 == 0) ? 0xFF : 0x00; break;
+    }
+  }
+  return buf;
+}
+
+TEST(ChecksumDifferential, OneShotMatchesReferenceAtEveryLengthAndAlignment) {
+  for (int pattern = 0; pattern < 3; ++pattern) {
+    const auto buf = checksum_pattern(pattern);
+    for (std::size_t off = 0; off < 8; ++off) {
+      SCOPED_TRACE(::testing::Message() << "pattern " << pattern << " offset " << off);
+      // The references advance one byte per length, so every prefix
+      // length is checked against them. The Internet checksum runs at
+      // every length; CRC-32 every length up to 1 KiB (all slice-by-8 tail
+      // shapes), then every 7th (all residues mod 8), then the top 8.
+      ReferenceInternetChecksum ref16;
+      ReferenceCrc32 ref32;
+      for (std::size_t len = 0; len <= kMaxChecksumLen; ++len) {
+        if (len > 0) {
+          ref16.add(buf[off + len - 1]);
+          ref32.add(buf[off + len - 1]);
+        }
+        const std::span<const std::uint8_t> data(buf.data() + off, len);
+        ASSERT_EQ(internet_checksum(data), ref16.value()) << "len " << len;
+        if (len <= 1024 || len % 7 == 0 || len + 8 > kMaxChecksumLen) {
+          ASSERT_EQ(crc32(data), ref32.value()) << "len " << len;
+        }
+      }
+    }
+  }
+}
+
+TEST(ChecksumDifferential, StreamingMatchesReferenceOnRandomSegmentations) {
+  std::array<std::vector<std::uint8_t>, 3> patterns = {checksum_pattern(0), checksum_pattern(1),
+                                                       checksum_pattern(2)};
+  std::mt19937_64 rng(1071);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto& buf = patterns[rng() % 3];
+    const std::size_t off = rng() % 8;
+    const std::size_t len = rng() % (kMaxChecksumLen + 1);
+    const std::span<const std::uint8_t> data(buf.data() + off, len);
+    ReferenceInternetChecksum ref16;
+    ReferenceCrc32 ref32;
+    for (const std::uint8_t b : data) {
+      ref16.add(b);
+      ref32.add(b);
+    }
+    // Segments of 0 and 1 bytes are frequent: they flip the odd-byte
+    // parity the streaming checksum carries across updates.
+    InternetChecksum inc16;
+    Crc32 inc32;
+    std::size_t segments = 0;
+    for (std::size_t pos = 0; pos < len; ++segments) {
+      std::size_t n = 0;
+      switch (rng() % 6) {
+        case 0: n = 0; break;
+        case 1: n = 1; break;
+        case 2: n = 2 + rng() % 7; break;
+        case 3: n = 1 + rng() % 64; break;
+        default: n = 1 + rng() % 2048; break;
+      }
+      n = std::min(n, len - pos);
+      inc16.update(data.subspan(pos, n));
+      inc32.update(data.subspan(pos, n));
+      pos += n;
+    }
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << " len " << len << " offset "
+                                      << off << " segments " << segments);
+    ASSERT_EQ(inc16.value(), ref16.value());
+    ASSERT_EQ(inc32.value(), ref32.value());
+  }
 }
 
 class PduCodec : public ::testing::TestWithParam<std::pair<ChecksumKind, ChecksumPlacement>> {};

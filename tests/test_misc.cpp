@@ -53,17 +53,11 @@ TEST(TkoEvent, RearmReplacesPending) {
   EXPECT_EQ(fires[0], sim::SimTime::milliseconds(30));
 }
 
-TEST(World, AccessorsAndProtocolGraph) {
+TEST(World, Accessors) {
   World world([](sim::EventScheduler& s) { return net::make_ethernet_lan(s, 3, 5); });
   EXPECT_EQ(world.host_count(), 3u);
   EXPECT_EQ(world.transport_address(1).port, tko::kTransportPort);
   EXPECT_EQ(world.transport_address(1).node, world.node(1));
-  auto& graph = world.protocol_graph(0);
-  EXPECT_EQ(graph.size(), 2u);
-  EXPECT_NE(graph.find("adaptive-transport"), nullptr);
-  EXPECT_EQ(graph.below("adaptive-transport"), std::vector<std::string>{"host-if"});
-  // The graph-owned transport is the same object World exposes.
-  EXPECT_EQ(graph.find("adaptive-transport"), &world.transport(0));
   world.run_until(sim::SimTime::milliseconds(5));
   EXPECT_EQ(world.now(), sim::SimTime::milliseconds(5));
 }

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -213,6 +214,74 @@ TEST(ParallelSweep, DerivedSeedsAreAPureFunctionOfBaseSeedAndIndex) {
     distinct.insert(a.runs[i].seed);
   }
   EXPECT_EQ(distinct.size(), 5u);
+}
+
+TEST(ParseSeedSet, AcceptsRangesAndDistinctListsRejectsEverythingElse) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  struct Accept {
+    const char* text;
+    std::vector<std::uint64_t> want;
+  };
+  const std::vector<Accept> accepts = {
+      {"7", {7}},
+      {"0", {0}},
+      {"1,2,3", {1, 2, 3}},
+      {"3,1,2", {3, 1, 2}},  // list order is run order
+      {"3..5", {3, 4, 5}},
+      {"5..5", {5}},
+      {"18446744073709551615", {kMax}},
+      {"18446744073709551614..18446744073709551615", {kMax - 1, kMax}},
+  };
+  for (const auto& c : accepts) {
+    SCOPED_TRACE(c.text);
+    std::string err;
+    EXPECT_EQ(parse_seed_set(c.text, &err), c.want);
+    EXPECT_TRUE(err.empty()) << err;
+  }
+
+  // The 1e6-seed cap: exactly 1e6 seeds parse, one more is refused.
+  std::string err;
+  const auto million = parse_seed_set("1..1000000", &err);
+  ASSERT_EQ(million.size(), 1'000'000u);
+  EXPECT_EQ(million.front(), 1u);
+  EXPECT_EQ(million.back(), 1'000'000u);
+
+  // Each rejection must name the offending token.
+  struct Reject {
+    const char* text;
+    const char* names;
+  };
+  const std::vector<Reject> rejects = {
+      {"", "empty seed set"},
+      {"-1", "'-1'"},
+      {"+1", "'+1'"},
+      {" 1", "' 1'"},
+      {"1 ", "'1 '"},
+      {"1, 2", "' 2'"},
+      {"18446744073709551616", "'18446744073709551616'"},
+      {"99999999999999999999999", "'99999999999999999999999'"},
+      {"0x10", "'0x10'"},
+      {"1e3", "'1e3'"},
+      {"1,2,", "empty seed list item"},
+      {",1", "empty seed list item"},
+      {"1,,2", "empty seed list item"},
+      {"1,1", "duplicate seed '1'"},
+      {"4,2,4", "duplicate seed '4'"},
+      {"5..-1", "'-1'"},
+      {"-1..5", "'-1'"},
+      {"1..", "bad range end ''"},
+      {"..5", "bad range start ''"},
+      {"1..2..3", "'2..3'"},
+      {"1..18446744073709551616", "'18446744073709551616'"},
+      {"5..1", "range end below start"},
+      {"1..1000001", "seed range too large"},
+  };
+  for (const auto& c : rejects) {
+    SCOPED_TRACE(c.text);
+    std::string why;
+    EXPECT_TRUE(parse_seed_set(c.text, &why).empty());
+    EXPECT_NE(why.find(c.names), std::string::npos) << why;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <map>
+#include <optional>
 #include <vector>
 
 namespace adaptive::sim {
@@ -242,6 +245,173 @@ TEST(EventScheduler, StressMatchesReferenceOrdering) {
   ASSERT_EQ(fired.size(), refs.size());
   for (std::size_t i = 0; i < refs.size(); ++i) EXPECT_EQ(fired[i], refs[i].id);
   EXPECT_EQ(sched.executed_events(), refs.size());
+}
+
+/// Drive the wheel and a (when, seq) reference model in lockstep with one
+/// random operation stream (seeded by `seed`): schedule_at and post_at at
+/// same-tick, sub-tick (< 1024 ns), coarse-boundary and multi-level
+/// distances; events that schedule children from inside their callbacks;
+/// cancels of pending, fired and already-cancelled handles between partial
+/// runs; step(); run_until to random limits. After every operation the
+/// fire order, now() and executed_events() must equal the model's.
+void check_against_when_seq_model(std::uint64_t seed) {
+  struct Child {
+    std::int64_t delay_ns;
+    bool cancellable;
+  };
+  // Whether event `id` spawns a child when it fires, and where: a pure
+  // function of the id, so the wheel and the model spawn identically.
+  const auto child_of = [](int id) -> std::optional<Child> {
+    std::uint64_t h = static_cast<std::uint64_t>(id) * 0x9E3779B97F4A7C15ULL;
+    h ^= h >> 29;
+    if (h % 3 != 0) return std::nullopt;
+    constexpr std::int64_t kDelays[] = {0, 1, 1023, 1024, 1025, 4096, 65'537, 3'000'000};
+    return Child{kDelays[(h >> 8) % 8] + static_cast<std::int64_t>((h >> 16) % 7),
+                 ((h >> 24) & 1) != 0};
+  };
+
+  struct Model {
+    std::map<std::pair<std::int64_t, std::uint64_t>, int> queue;  ///< (when, seq) -> id
+    std::map<int, std::pair<std::int64_t, std::uint64_t>> cancellable;  ///< queued handles
+    std::uint64_t seq = 0;
+    std::int64_t now = 0;
+    std::uint64_t executed = 0;
+    int next_id = 0;
+    std::vector<int> fired;
+
+    int add(std::int64_t when, bool with_handle) {
+      const int id = next_id++;
+      queue.emplace(std::make_pair(when, seq), id);
+      if (with_handle) cancellable.emplace(id, std::make_pair(when, seq));
+      ++seq;
+      return id;
+    }
+  } model;
+  const auto model_fire_next = [&](std::int64_t limit) {
+    if (model.queue.empty() || model.queue.begin()->first.first > limit) return false;
+    const auto [key, id] = *model.queue.begin();
+    model.queue.erase(model.queue.begin());
+    model.cancellable.erase(id);
+    model.now = key.first;
+    ++model.executed;
+    model.fired.push_back(id);
+    if (const auto c = child_of(id)) model.add(model.now + c->delay_ns, c->cancellable);
+    return true;
+  };
+
+  EventScheduler sched;
+  std::vector<int> fired;
+  std::map<int, EventHandle> handles;
+  int next_id = 0;
+  std::function<void(int)> on_fire = [&](int id) {
+    fired.push_back(id);
+    if (const auto c = child_of(id)) {
+      const int child = next_id++;
+      const SimTime when = sched.now() + SimTime::nanoseconds(c->delay_ns);
+      if (c->cancellable) {
+        handles[child] = sched.schedule_at(when, [&on_fire, child] { on_fire(child); });
+      } else {
+        sched.post_at(when, [&on_fire, child] { on_fire(child); });
+      }
+    }
+  };
+
+  Rng rng(seed);
+  const auto random_delay = [&rng]() {
+    std::uint64_t d = 0;
+    switch (rng.uniform_int(0, 5)) {
+      case 0: d = 0; break;                                    // same instant
+      case 1: d = rng.uniform_int(1, 1023); break;             // sub-tick
+      case 2: d = 1024 * rng.uniform_int(0, 3) + rng.uniform_int(0, 2); break;  // tick edges
+      case 3: d = rng.uniform_int(0, 64 * 1024); break;        // levels 0-1
+      case 4: d = rng.uniform_int(0, 5'000'000); break;        // levels 1-2
+      default: d = rng.uniform_int(0, 5'000'000'000); break;   // up to level 3
+    }
+    return static_cast<std::int64_t>(d);
+  };
+  // Now plus a random delay, or a time on a coarse wheel boundary (a
+  // multiple of 64^k ticks): events filed there from different cursor
+  // positions sit in slots of different levels that start at the same tick.
+  const auto random_when = [&]() {
+    const std::int64_t now = sched.now().ns();
+    if (rng.uniform_int(0, 3) != 0) return now + random_delay();
+    const std::int64_t unit = std::int64_t{1024} << (6 * rng.uniform_int(1, 3));
+    return ((now + unit - 1) / unit + static_cast<std::int64_t>(rng.uniform_int(0, 2))) * unit;
+  };
+
+  for (int op = 0; op < 10000; ++op) {
+    const auto kind = rng.uniform_int(0, 99);
+    if (kind < 30) {
+      const std::int64_t when = random_when();
+      const int id = next_id++;
+      handles[id] = sched.schedule_at(SimTime::nanoseconds(when), [&on_fire, id] { on_fire(id); });
+      EXPECT_EQ(model.add(when, true), id);
+    } else if (kind < 50) {
+      const std::int64_t when = random_when();
+      const int id = next_id++;
+      sched.post_at(SimTime::nanoseconds(when), [&on_fire, id] { on_fire(id); });
+      EXPECT_EQ(model.add(when, false), id);
+    } else if (kind < 62) {
+      // Cancel any handle ever issued: pending, fired or already cancelled.
+      if (handles.empty()) continue;
+      auto it = handles.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.uniform_int(0, handles.size() - 1)));
+      const bool queued = model.cancellable.contains(it->first);
+      EXPECT_EQ(it->second.pending(), queued) << "id " << it->first;
+      it->second.cancel();
+      EXPECT_FALSE(it->second.pending());
+      if (queued) {
+        model.queue.erase(model.cancellable.at(it->first));
+        model.cancellable.erase(it->first);
+      }
+    } else if (kind < 82) {
+      const std::int64_t limit = sched.now().ns() + random_delay();
+      std::size_t expect = 0;
+      while (model_fire_next(limit)) ++expect;
+      model.now = std::max(model.now, limit);
+      EXPECT_EQ(sched.run_until(SimTime::nanoseconds(limit)), expect);
+    } else {
+      const bool expect = model_fire_next(std::numeric_limits<std::int64_t>::max());
+      EXPECT_EQ(sched.step(), expect);
+    }
+    ASSERT_EQ(fired, model.fired) << "after op " << op;
+    ASSERT_EQ(sched.now().ns(), model.now) << "after op " << op;
+    ASSERT_EQ(sched.executed_events(), model.executed) << "after op " << op;
+  }
+  std::size_t expect = 0;
+  while (model_fire_next(std::numeric_limits<std::int64_t>::max())) ++expect;
+  EXPECT_EQ(sched.run(), expect);
+  EXPECT_EQ(fired, model.fired);
+  EXPECT_EQ(sched.now().ns(), model.now);
+  EXPECT_EQ(sched.executed_events(), model.executed);
+  EXPECT_GT(model.executed, 5000u);
+}
+
+TEST(EventScheduler, RandomOperationsMatchWhenSeqReferenceModel) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    check_against_when_seq_model(seed);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(EventScheduler, DrainingOnlyCancelledEntriesLeavesLaterInsertsInOrder) {
+  // step() over a wheel holding nothing but a cancelled far-future entry
+  // used to cascade the cursor to that entry's slot while now() stayed
+  // put; an event scheduled between now() and the cursor then filed
+  // behind it, and run_until re-cascaded its slot forever.
+  EventScheduler sched;
+  std::vector<int> fired;
+  auto far = sched.schedule_at(SimTime::seconds(9), [&fired] { fired.push_back(9); });
+  far.cancel();
+  EXPECT_FALSE(sched.step());
+  EXPECT_EQ(sched.now(), SimTime::zero());
+  sched.schedule_at(SimTime::milliseconds(2), [&fired] { fired.push_back(2); });
+  sched.post_at(SimTime::milliseconds(1), [&fired] { fired.push_back(1); });
+  EXPECT_EQ(sched.run_until(SimTime::milliseconds(5)), 2u);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sched.now(), SimTime::milliseconds(5));
+  EXPECT_EQ(sched.executed_events(), 2u);
 }
 
 TEST(EventScheduler, RejectsPastScheduling) {
