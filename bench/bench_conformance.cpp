@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
               kOnsetSec, kSpikeSec, seed_count, smoke ? " (smoke)" : "");
 
   bench::Report report("conformance");
-  const std::int64_t window_ns = unites::ConformanceConfig{}.window.ns();
+  const std::int64_t window_ns = unites::kConformanceWindow.ns();
 
   // --- spiked runs: detection latency + missed breaches -----------------
   std::size_t missed_breaches = 0;

@@ -18,9 +18,13 @@ MantttsEntity::MantttsEntity(os::Host& host, tko::AdaptiveTransport& transport,
   // the same local resource limits the out-of-band responder enforces.
   transport_.set_admission(
       [this](const tko::sa::SessionConfig& proposal) { return admit(proposal, limits_); });
+  // A session the reaper destroys (closed through the transport, not
+  // close_session) must take its entries here with it.
+  transport_.set_reap_observer([this](std::uint32_t sid) { forget(sid); });
 }
 
 MantttsEntity::~MantttsEntity() {
+  transport_.set_reap_observer(nullptr);
   adaptations_.clear();
   pending_reconfigs_.clear();
   collectors_.clear();
@@ -36,21 +40,42 @@ void MantttsEntity::send_signal(net::NodeId to, const Signal& s) {
   host_.send(std::move(pkt));
 }
 
-void MantttsEntity::set_conformance(unites::ConformanceMonitor* mon) {
-  conformance_ = mon;
-  if (mon != nullptr) {
-    nmi_.set_contract_health_provider([mon](std::uint32_t sid) { return mon->health(sid); });
-  } else {
-    nmi_.set_contract_health_provider(nullptr);
+void MantttsEntity::start_session(const Acd& acd, tko::TransportSession& session) {
+  if (conformance_ != nullptr) {
+    conformance_->register_contract(make_contract(acd, session.id(), host_.node_id()),
+                                    host_.now());
+    ++stats_.contracts_registered;
   }
+  ++stats_.sessions_opened;
+  open_.insert(session.id());
+  if (acd.collect_metrics && repo_ != nullptr) {
+    collectors_[session.id()] =
+        std::make_unique<unites::SessionCollector>(*repo_, session, acd.measurement);
+  }
+  if (!acd.adjustments.empty()) {
+    // "It is not generally useful to dynamically reconfigure sessions
+    // that have very low duration" (Section 4.1.1).
+    if (acd.quantitative.duration >= kShortSessionThreshold) {
+      enable_adaptation(session, acd.adjustments);
+    } else {
+      ++stats_.adaptations_skipped_short_session;
+    }
+  }
+  session.connect();
 }
 
-void MantttsEntity::register_contract_for(const Acd& acd, tko::TransportSession& session) {
-  if (conformance_ == nullptr) return;
-  const QosContract c = make_contract(acd, session.id(), host_.node_id());
-  contracts_[session.id()] = c;
-  conformance_->register_contract(c, host_.now());
-  ++stats_.contracts_registered;
+void MantttsEntity::forget(std::uint32_t sid) {
+  open_.erase(sid);
+  adaptations_.erase(sid);
+  collectors_.erase(sid);
+  qos_callbacks_.erase(sid);
+  pending_reconfigs_.erase(sid);
+  downgrade_rung_.erase(sid);
+  // A cleanly closed session's derivation is still valid for the next
+  // identical open; only the sid -> key mapping is released.
+  synth_keys_.erase(sid);
+  route_observed_.erase(sid);
+  route_synth_.erase(sid);
 }
 
 void MantttsEntity::open_session(const Acd& acd, OpenCb cb) {
@@ -97,23 +122,7 @@ void MantttsEntity::open_session(const Acd& acd, OpenCb cb) {
   if (!explicit_negotiation) {
     auto& session = transport_.open(acd.remotes, scs, /*prevalidated=*/cache_hit);
     synth_keys_[session.id()] = synth_key;
-    register_contract_for(acd, session);
-    ++stats_.sessions_opened;
-    ++active_;
-    if (acd.collect_metrics && repo_ != nullptr) {
-      collectors_[session.id()] =
-          std::make_unique<unites::SessionCollector>(*repo_, session, acd.measurement);
-    }
-    if (!acd.adjustments.empty()) {
-      // "It is not generally useful to dynamically reconfigure sessions
-      // that have very low duration" (Section 4.1.1).
-      if (acd.quantitative.duration >= kShortSessionThreshold) {
-        enable_adaptation(session, acd.adjustments);
-      } else {
-        ++stats_.adaptations_skipped_short_session;
-      }
-    }
-    session.connect();
+    start_session(acd, session);
     OpenResult r;
     r.session = &session;
     r.tsc = tsc;
@@ -172,21 +181,7 @@ void MantttsEntity::finish_open(std::uint32_t nonce, const tko::sa::SessionConfi
     return;
   }
   auto& session = transport_.open(p.acd.remotes, r.scs);
-  register_contract_for(p.acd, session);
-  ++stats_.sessions_opened;
-  ++active_;
-  if (p.acd.collect_metrics && repo_ != nullptr) {
-    collectors_[session.id()] =
-        std::make_unique<unites::SessionCollector>(*repo_, session, p.acd.measurement);
-  }
-  if (!p.acd.adjustments.empty()) {
-    if (p.acd.quantitative.duration >= kShortSessionThreshold) {
-      enable_adaptation(session, p.acd.adjustments);
-    } else {
-      ++stats_.adaptations_skipped_short_session;
-    }
-  }
-  session.connect();
+  start_session(p.acd, session);
   r.session = &session;
   p.cb(std::move(r));
 }
@@ -203,7 +198,7 @@ void MantttsEntity::on_signaling(net::Packet&& pkt) {
       Signal reply;
       reply.type = tko::PduType::kConfigAck;
       reply.token = sig->token;
-      if (active_ >= limits_.max_sessions || !sig->config.has_value()) {
+      if (open_.size() >= limits_.max_sessions || !sig->config.has_value()) {
         ++stats_.admissions_refused;
         // No config in the ack = refusal.
       } else {
@@ -288,21 +283,12 @@ void MantttsEntity::send_probe(net::NodeId remote) {
 }
 
 void MantttsEntity::close_session(tko::TransportSession& session, bool graceful) {
-  if (conformance_ != nullptr && contracts_.contains(session.id())) {
-    conformance_->finalize(session.id(), host_.now());
-  }
-  contracts_.erase(session.id());
-  disable_adaptation(session);
-  collectors_.erase(session.id());
-  qos_callbacks_.erase(session.id());
-  pending_reconfigs_.erase(session.id());
-  downgrade_rung_.erase(session.id());
-  // A cleanly closed session's derivation is still valid for the next
-  // identical open; only the sid -> key mapping is released.
-  synth_keys_.erase(session.id());
+  // Finalizing is a no-op for a session the monitor holds no contract for.
+  if (conformance_ != nullptr) conformance_->finalize(session.id(), host_.now());
+  session.set_stall_observer(nullptr);
+  forget(session.id());  // also the load recalculation (termination phase)
   session.close(graceful);
   ++stats_.sessions_closed;
-  if (active_ > 0) --active_;  // load recalculation (termination phase)
 }
 
 void MantttsEntity::enable_adaptation(tko::TransportSession& session, std::vector<TsaRule> rules,
@@ -320,9 +306,11 @@ void MantttsEntity::enable_adaptation(tko::TransportSession& session, std::vecto
     if (probe_based_rtt_ && !net::is_multicast(remote)) send_probe(remote);
     const auto descriptor = nmi_.sample(remote);
 
-    // Contract-health rung: policy observes QoS conformance through the
-    // same interface it observes path state through.
-    switch (nmi_.contract_health(sid)) {
+    // Contract-health rung: policy observes QoS conformance alongside the
+    // path state the NMI reports.
+    const auto health =
+        conformance_ != nullptr ? conformance_->health(sid) : unites::ContractHealth::kNone;
+    switch (health) {
       case unites::ContractHealth::kBurning: ++stats_.contract_burn_ticks; break;
       case unites::ContractHealth::kBreached: ++stats_.contract_breach_ticks; break;
       default: break;
@@ -429,18 +417,15 @@ Tsc MantttsEntity::retarget_session(tko::TransportSession& session,
                                     const Acd& new_requirements) {
   const Tsc tsc = classify(new_requirements);
   const auto descriptor = nmi_.sample(session.remotes().front().node);
-  // The application's requirements changed, so the contract it is graded
-  // against changes too; apply_and_propagate pushes the replacement.
-  if (conformance_ != nullptr && contracts_.contains(session.id())) {
-    contracts_[session.id()] =
-        make_contract(new_requirements, session.id(), host_.node_id());
-  }
   tko::sa::SessionConfig scs = derive_scs(tsc, new_requirements, descriptor);
   // The connection is already up; switching connection schemes mid-flight
   // is meaningless, so the live session keeps its establishment scheme.
   scs.connection = session.config().connection;
   if (tko::sa::Synthesizer::validate(scs).empty()) {
-    apply_and_propagate(session, scs);
+    // The application's requirements changed, so the contract it is
+    // graded against changes with the new configuration.
+    const QosContract contract = make_contract(new_requirements, session.id(), host_.node_id());
+    apply_and_propagate(session, scs, &contract);
   }
   return tsc;
 }
@@ -457,7 +442,8 @@ void MantttsEntity::signal_session_remotes(tko::TransportSession& session, const
 }
 
 void MantttsEntity::apply_and_propagate(tko::TransportSession& session,
-                                        const tko::sa::SessionConfig& cfg) {
+                                        const tko::sa::SessionConfig& cfg,
+                                        const QosContract* contract) {
   // Renegotiation makes this session's cached Stage I/II derivation
   // stale: conditions diverged enough to force a new configuration, so
   // serving the old entry to the next identical open would resurrect the
@@ -482,12 +468,14 @@ void MantttsEntity::apply_and_propagate(tko::TransportSession& session,
   }
   session.reconfigure(cfg);
   // Re-register the session's contract: the mechanisms changed but the
-  // promise to the application did not (retarget updates contracts_ first
-  // when the requirements themselves changed). Window history survives;
-  // later windows grade against the re-registered bounds.
+  // promise to the application did not, so the monitor's own copy (which
+  // may be an override set after open) goes back in unless a retarget
+  // brought a new one. Window history survives; later windows grade
+  // against the re-registered bounds.
   if (conformance_ != nullptr) {
-    if (auto cit = contracts_.find(session.id()); cit != contracts_.end()) {
-      conformance_->register_contract(cit->second, host_.now());
+    if (const auto* rep = conformance_->report(session.id()); rep != nullptr) {
+      const QosContract held = contract != nullptr ? *contract : rep->contract;
+      conformance_->register_contract(held, host_.now());
       ++stats_.contracts_registered;
     }
   }

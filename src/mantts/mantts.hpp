@@ -21,10 +21,12 @@
 #include "mantts/transform.hpp"
 #include "tko/transport.hpp"
 #include "unites/collector.hpp"
+#include "unites/conformance.hpp"
 
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 
 namespace adaptive::mantts {
 
@@ -61,8 +63,8 @@ public:
   void enable_adaptation(tko::TransportSession& session, std::vector<TsaRule> rules,
                          sim::SimTime period = sim::SimTime::milliseconds(100));
   void disable_adaptation(tko::TransportSession& session);
-  [[nodiscard]] bool adaptation_enabled(const tko::TransportSession& session) const {
-    return adaptations_.contains(session.id());
+  [[nodiscard]] bool adaptation_enabled(std::uint32_t sid) const {
+    return adaptations_.contains(sid);
   }
 
   /// Application callback for QoS changes (fired on every applied
@@ -87,11 +89,12 @@ public:
   /// into this repository.
   void set_repository(unites::MetricRepository* repo) { repo_ = repo; }
 
-  /// Conformance hookup (DESIGN §16): every session this entity opens (or
-  /// re-synthesizes) has its negotiated QoS contract registered with `mon`,
-  /// and the NMI's contract-health rung is served from the monitor so
-  /// reconfiguration policy can observe "in contract / burning / breached".
-  void set_conformance(unites::ConformanceMonitor* mon);
+  /// Conformance hookup (DESIGN §16): every session this entity opens has
+  /// its QoS contract registered with `mon`, which then owns it: every
+  /// resynthesis re-registers the contract the monitor holds, and the
+  /// adaptation tick reads the session's health rung ("in contract /
+  /// burning / breached") from it.
+  void set_conformance(unites::ConformanceMonitor* mon) { conformance_ = mon; }
   [[nodiscard]] unites::ConformanceMonitor* conformance() { return conformance_; }
 
   /// Send one PROBE to `remote`'s MANTTS entity over the signaling
@@ -132,7 +135,9 @@ public:
     std::uint64_t contract_breach_ticks = 0;  ///< adaptation ticks observing kBreached
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t active_sessions() const { return active_; }
+  /// Sessions this entity opened that have neither gone through
+  /// close_session nor been reaped by the transport.
+  [[nodiscard]] std::size_t active_sessions() const { return open_.size(); }
 
   /// Descriptor-consistency introspection (survivability oracle input):
   /// the route version the NMI most recently reported for the session's
@@ -162,11 +167,19 @@ public:
 private:
   void on_signaling(net::Packet&& p);
   void send_signal(net::NodeId to, const Signal& s);
-  /// Register (initial open) or re-register (resynthesis funnel) the
-  /// session's QoS contract with the conformance monitor.
-  void register_contract_for(const Acd& acd, tko::TransportSession& session);
+  /// Open bookkeeping shared by implicit and negotiated opens: register
+  /// the contract, count the session, attach its collector and adaptation,
+  /// then connect.
+  void start_session(const Acd& acd, tko::TransportSession& session);
+  /// Release every per-session entry this entity keeps. The one release
+  /// point: close_session calls it, and so does the transport's reaper.
+  void forget(std::uint32_t sid);
   void finish_open(std::uint32_t nonce, const tko::sa::SessionConfig& cfg, bool refused);
-  void apply_and_propagate(tko::TransportSession& session, const tko::sa::SessionConfig& cfg);
+  /// Install `cfg` and signal it to the remotes. The session's contract is
+  /// re-registered with the monitor: `contract` when the requirements
+  /// changed (retarget), else the one the monitor already holds.
+  void apply_and_propagate(tko::TransportSession& session, const tko::sa::SessionConfig& cfg,
+                           const QosContract* contract = nullptr);
   /// Track an in-flight RECONFIG until its ack (bounded retry with
   /// exponential backoff); exhaustion falls down the QoS ladder.
   void track_reconfig(tko::TransportSession& session, const tko::sa::SessionConfig& cfg);
@@ -180,12 +193,8 @@ private:
   NetworkMonitorInterface nmi_;
   unites::MetricRepository* repo_ = nullptr;
   unites::ConformanceMonitor* conformance_ = nullptr;
-  /// The contract each live session is held to (kept so the resynthesis
-  /// funnel can re-register the same promise under new mechanisms, and so
-  /// retarget can replace it when the requirements themselves change).
-  std::map<std::uint32_t, QosContract> contracts_;
   Stats stats_;
-  std::size_t active_ = 0;
+  std::set<std::uint32_t> open_;  ///< sessions counted by active_sessions()
 
   struct Pending {
     Acd acd;

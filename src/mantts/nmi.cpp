@@ -75,21 +75,6 @@ NetworkStateDescriptor NetworkMonitorInterface::sample(net::NodeId remote) {
   return agg;
 }
 
-void NetworkMonitorInterface::watch(net::NodeId remote, os::TimerFacility& timers,
-                                    sim::SimTime period, ChangeFn cb) {
-  Watch w;
-  w.cb = std::move(cb);
-  w.timer = std::make_unique<tko::Event>(timers, [this, remote] {
-    auto it = watches_.find(remote);
-    if (it == watches_.end()) return;
-    it->second.cb(remote, sample(remote));
-  });
-  w.timer->schedule_periodic(period);
-  watches_[remote] = std::move(w);
-}
-
-void NetworkMonitorInterface::unwatch(net::NodeId remote) { watches_.erase(remote); }
-
 void NetworkMonitorInterface::record_probe_rtt(net::NodeId remote, sim::SimTime rtt) {
   probe_rtt_[remote].sample(rtt);
 }

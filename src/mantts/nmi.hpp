@@ -10,14 +10,10 @@
 #pragma once
 
 #include "net/network.hpp"
-#include "tko/event.hpp"
 #include "tko/sa/rtt_estimator.hpp"
-#include "os/timer_facility.hpp"
-#include "unites/conformance.hpp"
 
-#include <functional>
 #include <map>
-#include <memory>
+#include <vector>
 
 namespace adaptive::mantts {
 
@@ -50,11 +46,6 @@ public:
   /// the farthest member for RTT and the tightest MTU).
   [[nodiscard]] NetworkStateDescriptor sample(net::NodeId remote);
 
-  /// Sample periodically and invoke `cb` with each new descriptor.
-  using ChangeFn = std::function<void(net::NodeId remote, const NetworkStateDescriptor&)>;
-  void watch(net::NodeId remote, os::TimerFacility& timers, sim::SimTime period, ChangeFn cb);
-  void unwatch(net::NodeId remote);
-
   /// Feed a measured round-trip sample from an in-band PROBE exchange
   /// (MANTTS entities probe over the signaling channel). Once a remote has
   /// probe samples, sample() reports the measured smoothed RTT instead of
@@ -66,17 +57,6 @@ public:
 
   [[nodiscard]] net::NodeId local() const { return local_; }
 
-  /// Contract-health rung (DESIGN §16): the conformance plane's per-session
-  /// verdict — in contract / burning / breached — surfaced through the NMI
-  /// so reconfiguration policies observe QoS health the same way they
-  /// observe path health. The provider is installed by whoever owns the
-  /// ConformanceMonitor (the World, via the MANTTS entity).
-  using ContractHealthFn = std::function<unites::ContractHealth(std::uint32_t session)>;
-  void set_contract_health_provider(ContractHealthFn fn) { contract_health_ = std::move(fn); }
-  [[nodiscard]] unites::ContractHealth contract_health(std::uint32_t session) const {
-    return contract_health_ ? contract_health_(session) : unites::ContractHealth::kNone;
-  }
-
 private:
   [[nodiscard]] NetworkStateDescriptor sample_unicast(net::NodeId remote);
 
@@ -85,12 +65,6 @@ private:
   std::map<net::NodeId, tko::sa::RttEstimator> probe_rtt_;
   std::map<net::NodeId, std::vector<net::NodeId>> last_path_;
   std::map<net::NodeId, std::uint64_t> route_version_;
-  struct Watch {
-    std::unique_ptr<tko::Event> timer;
-    ChangeFn cb;
-  };
-  std::map<net::NodeId, Watch> watches_;
-  ContractHealthFn contract_health_;
 };
 
 }  // namespace adaptive::mantts

@@ -75,14 +75,13 @@ std::vector<LinkId> FaultInjector::node_link_pairs(const sim::FaultSpec& spec) {
 }
 
 void FaultInjector::record(const sim::FaultSpec& spec, const char* phase) {
-  const std::string detail = std::string(phase) + " " + spec.describe();
-  net_.monitor().record(NetEventKind::kFault, net_.scheduler().now(), detail);
+  net_.monitor().record(NetEventKind::kFault);
   // TraceEvent::detail keeps the raw pointer for the life of the ring, so
-  // it must be a static-lifetime string — passing detail.c_str() here left
-  // dangling pointers in every fault trace, which made sweep trace digests
-  // nondeterministic (caught by bench_chaos's jobs=1 vs jobs=N gate). The
-  // full spec text lives in the monitor history above; the trace carries
-  // phase (via the event name) and kind as literals.
+  // it must be a static-lifetime string — passing a formatted spec's
+  // c_str() here left dangling pointers in every fault trace, which made
+  // sweep trace digests nondeterministic (caught by bench_chaos's jobs=1
+  // vs jobs=N gate). The trace carries phase (via the event name) and kind
+  // as literals; the full spec text is in the plan the run was given.
   const bool begin = phase[0] == 'b';
   unites::trace().instant(unites::TraceCategory::kNet,
                           begin ? "net.fault.begin" : "net.fault.end", net_.scheduler().now(), 0,

@@ -57,10 +57,9 @@ void MobilityController::begin_handover(const sim::FaultSpec& spec) {
   } else {
     net_.set_link_pair_up(attachments_[from], false);  // blackout starts
   }
-  net_.monitor().record(NetEventKind::kRouteChange, net_.scheduler().now(),
-                        "handover begin " + spec.describe());
+  net_.monitor().record(NetEventKind::kRouteChange);
   // TraceEvent::detail must be a static-lifetime string (see
-  // FaultInjector::record); the monitor history above carries the spec.
+  // FaultInjector::record), so the trace carries the mode as a literal.
   unites::trace().instant(unites::TraceCategory::kNet, "net.handover.begin",
                           net_.scheduler().now(), 0, 0, static_cast<double>(to),
                           spec.make_before_break ? "mbb" : "bbm");
@@ -79,8 +78,7 @@ void MobilityController::finish_handover(const sim::FaultSpec& spec, std::size_t
   active_ = to;
   in_transition_ = false;
   ++stats_.handovers_completed;
-  net_.monitor().record(NetEventKind::kRouteChange, net_.scheduler().now(),
-                        "handover end " + spec.describe());
+  net_.monitor().record(NetEventKind::kRouteChange);
   unites::trace().instant(unites::TraceCategory::kNet, "net.handover.end",
                           net_.scheduler().now(), 0, 0, static_cast<double>(to),
                           spec.make_before_break ? "mbb" : "bbm");
@@ -104,8 +102,7 @@ void MobilityController::apply_membership(const sim::FaultSpec& spec) {
     net_.leave_group(group_, host);
     ++stats_.leaves;
   }
-  net_.monitor().record(NetEventKind::kRouteChange, net_.scheduler().now(),
-                        std::string(joining ? "group join " : "group leave ") + spec.describe());
+  net_.monitor().record(NetEventKind::kRouteChange);
   unites::trace().instant(unites::TraceCategory::kNet,
                           joining ? "net.group.join" : "net.group.leave", net_.scheduler().now(),
                           0, 0, static_cast<double>(spec.node), nullptr);

@@ -1,35 +1,28 @@
 #include "net/monitor.hpp"
 
-#include "unites/profiler.hpp"
+#include <algorithm>
 
 namespace adaptive::net {
 
-void NetworkMonitor::record(NetEventKind kind, sim::SimTime when, std::string detail) {
-  UNITES_PROF("net.monitor.record");
+void NetworkMonitor::record(NetEventKind kind) {
   switch (kind) {
-    case NetEventKind::kDrop: ++drops_; break;
-    case NetEventKind::kDeliver: ++deliveries_; break;
+    case NetEventKind::kDrop:
+      window_[(drops_ + deliveries_) % kLossWindow] = true;
+      ++drops_;
+      break;
+    case NetEventKind::kDeliver:
+      window_[(drops_ + deliveries_) % kLossWindow] = false;
+      ++deliveries_;
+      break;
     case NetEventKind::kRouteChange: ++route_changes_; break;
     case NetEventKind::kFault: ++faults_; break;
-    default: break;
   }
-  events_.push_back(NetEvent{kind, when, std::move(detail)});
-  while (events_.size() > history_limit_) events_.pop_front();
-  for (const auto& s : subscribers_) s(events_.back());
 }
 
-double NetworkMonitor::recent_loss_rate(std::size_t window) const {
-  std::uint64_t drops = 0;
-  std::uint64_t total = 0;
-  for (auto it = events_.rbegin(); it != events_.rend() && total < window; ++it) {
-    if (it->kind == NetEventKind::kDrop) {
-      ++drops;
-      ++total;
-    } else if (it->kind == NetEventKind::kDeliver) {
-      ++total;
-    }
-  }
-  return total == 0 ? 0.0 : static_cast<double>(drops) / static_cast<double>(total);
+double NetworkMonitor::recent_loss_rate() const {
+  const auto outcomes = std::min<std::uint64_t>(drops_ + deliveries_, kLossWindow);
+  return outcomes == 0 ? 0.0
+                       : static_cast<double>(window_.count()) / static_cast<double>(outcomes);
 }
 
 }  // namespace adaptive::net

@@ -2,60 +2,42 @@
 // Monitor Interface (MANTTS-NMI, Section 4.1) and the UNITES traffic
 // monitors (Section 4.3).
 //
-// It records drop/delivery/route-change events network-wide and answers
-// state queries (queue occupancy along a path, recent loss rate). In the
-// real system this information would come from switch management agents;
-// in the simulator the monitor reads switch state directly — the data is
-// the same either way.
+// It counts drop/delivery/route-change/fault events network-wide and
+// answers the recent loss rate. In the real system this information would
+// come from switch management agents; in the simulator the monitor reads
+// switch state directly — the data is the same either way.
 #pragma once
 
-#include "net/packet.hpp"
-#include "sim/time.hpp"
-
+#include <bitset>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <string>
-#include <vector>
 
 namespace adaptive::net {
 
-enum class NetEventKind { kDrop, kDeliver, kRouteChange, kLinkDown, kLinkUp, kFault };
-
-struct NetEvent {
-  NetEventKind kind;
-  sim::SimTime when;
-  std::string detail;
-};
+enum class NetEventKind { kDrop, kDeliver, kRouteChange, kFault };
 
 class NetworkMonitor {
 public:
-  explicit NetworkMonitor(std::size_t history = 4096) : history_limit_(history) {}
-
-  void record(NetEventKind kind, sim::SimTime when, std::string detail);
-
-  /// Subscribe to every event as it happens (MANTTS policies hook here).
-  using Subscriber = std::function<void(const NetEvent&)>;
-  void subscribe(Subscriber s) { subscribers_.push_back(std::move(s)); }
+  void record(NetEventKind kind);
 
   [[nodiscard]] std::uint64_t total_drops() const { return drops_; }
   [[nodiscard]] std::uint64_t total_deliveries() const { return deliveries_; }
   [[nodiscard]] std::uint64_t route_changes() const { return route_changes_; }
   [[nodiscard]] std::uint64_t faults() const { return faults_; }
 
-  /// Drop fraction over the most recent `window` drop+deliver events.
-  [[nodiscard]] double recent_loss_rate(std::size_t window = 256) const;
+  /// Drop fraction over the most recent kLossWindow drop/deliver outcomes.
+  [[nodiscard]] double recent_loss_rate() const;
 
-  [[nodiscard]] const std::deque<NetEvent>& history() const { return events_; }
+  static constexpr std::size_t kLossWindow = 256;
 
 private:
-  std::size_t history_limit_;
-  std::deque<NetEvent> events_;
-  std::vector<Subscriber> subscribers_;
   std::uint64_t drops_ = 0;
   std::uint64_t deliveries_ = 0;
   std::uint64_t route_changes_ = 0;
   std::uint64_t faults_ = 0;  ///< injected impairment applications
+  /// Ring of the last kLossWindow outcomes, set bit = drop. Outcome n
+  /// (counting drops and deliveries from 0) lives in slot n % kLossWindow.
+  std::bitset<kLossWindow> window_;
 };
 
 }  // namespace adaptive::net

@@ -35,16 +35,11 @@ std::pair<LinkId, LinkId> Network::connect(NodeId a, NodeId b, const LinkConfig&
     l->set_deliver([this, to](Packet&& p) {
       Node& n = *nodes_[to];
       if (dynamic_cast<HostNode*>(&n) != nullptr) {
-        monitor_.record(NetEventKind::kDeliver, sched_.now(),
-                        "deliver dst=" + to_string(p.dst));
+        monitor_.record(NetEventKind::kDeliver);
       }
       n.receive(std::move(p));
     });
-    l->set_on_drop([this, id](const Packet& p, const char* reason) {
-      monitor_.record(NetEventKind::kDrop, sched_.now(),
-                      std::string(reason) + " link=" + std::to_string(id) +
-                          " dst=" + to_string(p.dst));
-    });
+    l->set_on_drop([this](const Packet&, const char*) { monitor_.record(NetEventKind::kDrop); });
     adjacency_[from].push_back(l);
     return id;
   };
@@ -63,8 +58,6 @@ void Network::set_link_pair_up(LinkId forward_id, bool up) {
   Link& r = *links_[forward_id ^ 1u];
   f.set_up(up);
   r.set_up(up);
-  monitor_.record(up ? NetEventKind::kLinkUp : NetEventKind::kLinkDown, sched_.now(),
-                  "link pair " + std::to_string(forward_id));
   recompute_routes();
 }
 
@@ -79,7 +72,7 @@ void Network::leave_group(NodeId group, NodeId host) {
 void Network::recompute_routes() {
   install_unicast_routes();
   install_multicast_routes();
-  monitor_.record(NetEventKind::kRouteChange, sched_.now(), "routes recomputed");
+  monitor_.record(NetEventKind::kRouteChange);
 }
 
 void Network::install_unicast_routes() {
@@ -133,7 +126,7 @@ void Network::inject(Packet&& p) {
   if (is_multicast(p.dst.node)) {
     auto it = host_mcast_.find({p.dst.node, src});
     if (it == host_mcast_.end() || it->second.empty()) {
-      monitor_.record(NetEventKind::kDrop, sched_.now(), "no-mcast-route dst=" + to_string(p.dst));
+      monitor_.record(NetEventKind::kDrop);
       return;
     }
     const auto& outs = it->second;
@@ -145,7 +138,7 @@ void Network::inject(Packet&& p) {
   if (spf_it == spf_.end()) throw std::logic_error("Network::inject: routes not computed");
   auto links = extract_path_links(spf_it->second, src, p.dst.node);
   if (links.empty()) {
-    monitor_.record(NetEventKind::kDrop, sched_.now(), "no-route dst=" + to_string(p.dst));
+    monitor_.record(NetEventKind::kDrop);
     return;
   }
   links.front()->transmit(std::move(p));

@@ -798,8 +798,6 @@ TransportSession* AdaptiveTransport::find_session(std::uint32_t id) {
   return sessions_.find(id);
 }
 
-void AdaptiveTransport::destroy_session(std::uint32_t id) { sessions_.erase(id); }
-
 void AdaptiveTransport::note_session_closed(std::uint32_t id) {
   if (reap_linger_ <= sim::SimTime::zero()) return;
   // Fire-and-forget wheel event: never cancelled, so no handle. The
@@ -811,6 +809,7 @@ void AdaptiveTransport::note_session_closed(std::uint32_t id) {
     if (s == nullptr) return;
     const SessionState st = s->state();
     if (st != SessionState::kClosed && st != SessionState::kAborted) return;
+    if (on_reap_) on_reap_(id);
     sessions_.erase(id);
     ++reaped_;
   });

@@ -281,7 +281,6 @@ public:
   [[nodiscard]] std::size_t session_count() const override { return sessions_.size(); }
 
   [[nodiscard]] TransportSession* find_session(std::uint32_t id);
-  void destroy_session(std::uint32_t id);
 
   /// Closed-session reaping for churn worlds. When enabled, a session
   /// that reaches kClosed/kAborted is destroyed `linger` after the
@@ -292,6 +291,13 @@ public:
   /// accumulate without bound.
   void set_session_reaper(sim::SimTime linger) { reap_linger_ = linger; }
   [[nodiscard]] std::uint64_t sessions_reaped() const { return reaped_; }
+
+  /// Invoked with the session's id just before the reaper destroys it —
+  /// the only place a session dies mid-run — so state kept about it
+  /// elsewhere can be released. The MANTTS entity installs this, as it
+  /// does the admission hook.
+  using ReapFn = std::function<void(std::uint32_t id)>;
+  void set_reap_observer(ReapFn fn) { on_reap_ = std::move(fn); }
 
   /// Session-plane table counters (probe lengths, rehashes) for tests
   /// pinning the O(1) datapath contract.
@@ -327,6 +333,7 @@ private:
   std::uint32_t next_session_ = 1;
   AcceptFn acceptor_;
   AdmissionFn admission_;
+  ReapFn on_reap_;
   std::uint64_t orphans_ = 0;
   sim::SimTime reap_linger_ = sim::SimTime::zero();  ///< zero = reaping off
   std::uint64_t reaped_ = 0;

@@ -104,8 +104,6 @@ std::string SessionConformance::to_json() const {
   return out;
 }
 
-ConformanceMonitor::ConformanceMonitor(ConformanceConfig cfg) : cfg_(cfg) {}
-
 void ConformanceMonitor::register_contract(const mantts::QosContract& c, sim::SimTime now) {
   if (!enabled_) return;
   State& st = sessions_[c.session];
@@ -194,7 +192,7 @@ void ConformanceMonitor::on_playout_late(std::uint32_t session, sim::SimTime now
 }
 
 void ConformanceMonitor::roll(State& st, std::int64_t now_ns) {
-  const std::int64_t w = cfg_.window.ns();
+  const std::int64_t w = kConformanceWindow.ns();
   while (now_ns >= st.window_start + w) close_window(st, st.window_start + w, /*partial=*/false);
 }
 
@@ -227,7 +225,7 @@ void ConformanceMonitor::refresh_qoe(State& st) {
 }
 
 void ConformanceMonitor::close_window(State& st, std::int64_t end_ns, bool partial) {
-  declare_losses(st, end_ns - cfg_.loss_horizon.ns());
+  declare_losses(st, end_ns - kLossHorizon.ns());
 
   WindowVerdict v;
   v.start_ns = st.window_start;
@@ -287,7 +285,7 @@ void ConformanceMonitor::update_budget(State& st, std::int64_t at_ns, const Wind
 
   // Error budget: the contract tolerates budget_fraction of the windows
   // its stated duration spans (at least one).
-  const std::int64_t w = cfg_.window.ns();
+  const std::int64_t w = kConformanceWindow.ns();
   const double expected_windows =
       std::max(1.0, static_cast<double>(rep.contract.duration_ns) / static_cast<double>(w));
   const double allowed = std::max(1.0, rep.contract.budget_fraction * expected_windows);
@@ -304,22 +302,22 @@ void ConformanceMonitor::update_budget(State& st, std::int64_t at_ns, const Wind
     const double frac = static_cast<double>(recent_bad) / static_cast<double>(have);
     return frac / std::max(1e-9, rep.contract.budget_fraction);
   };
-  rep.fast_burn = burn_over(cfg_.fast_windows);
-  rep.slow_burn = burn_over(cfg_.slow_windows);
+  rep.fast_burn = burn_over(kFastBurnWindows);
+  rep.slow_burn = burn_over(kSlowBurnWindows);
 
   const sim::SimTime when{at_ns};
   const net::NodeId host = rep.contract.host;
   const std::uint32_t sid = rep.contract.session;
 
   // Breach/recovery hysteresis.
-  if (!st.in_breach && st.consecutive_bad >= cfg_.breach_enter) {
+  if (!st.in_breach && st.consecutive_bad >= kBreachEnterWindows) {
     st.in_breach = true;
     ++rep.breaches;
     if (rep.first_breach_ns < 0) rep.first_breach_ns = at_ns;
     trace().instant(TraceCategory::kConformance, "qos.breach", when, host, sid,
                     rep.budget_consumed, v.worst());
     if (repo_ != nullptr) repo_->record({host, sid, metrics::kQosBreach}, when, 1.0);
-  } else if (st.in_breach && st.consecutive_ok >= cfg_.breach_exit) {
+  } else if (st.in_breach && st.consecutive_ok >= kBreachExitWindows) {
     st.in_breach = false;
     ++rep.recoveries;
     trace().instant(TraceCategory::kConformance, "qos.recovery", when, host, sid,
@@ -332,8 +330,8 @@ void ConformanceMonitor::update_budget(State& st, std::int64_t at_ns, const Wind
                     rep.budget_consumed);
   }
 
-  const bool burning = rep.fast_burn >= cfg_.fast_burn_alarm ||
-                       rep.slow_burn >= cfg_.slow_burn_alarm;
+  const bool burning = rep.fast_burn >= kFastBurnAlarm ||
+                       rep.slow_burn >= kSlowBurnAlarm;
   rep.health = (st.in_breach || rep.budget_consumed >= 1.0) ? ContractHealth::kBreached
                : burning                                    ? ContractHealth::kBurning
                                                             : ContractHealth::kInContract;
@@ -350,7 +348,7 @@ void ConformanceMonitor::finalize(std::uint32_t session, sim::SimTime now) {
     roll(st, st.last_event_ns);
     // The drain period is over: whatever is still owed is really lost.
     declare_losses(st, now.ns());
-    const std::int64_t w = cfg_.window.ns();
+    const std::int64_t w = kConformanceWindow.ns();
     const std::int64_t end = std::min(now.ns(), st.window_start + w);
     close_window(st, std::max(end, st.window_start + 1), /*partial=*/true);
   }

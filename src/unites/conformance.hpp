@@ -3,13 +3,13 @@
 // The post-mortem evaluator (app/qos_evaluator) grades a finished run once;
 // a session can spend most of its lifetime out of contract and still pass.
 // The ConformanceMonitor instead folds every delivery/playout event into
-// tumbling virtual-time windows (default 250 ms) as the session runs,
+// tumbling virtual-time windows (250 ms) as the session runs,
 // producing per-window conformance verdict vectors, an SLO error-budget /
 // burn-rate track, and a scalar QoE continuity proxy. Verdicts flow four
 // ways: qos.* metrics into the repository, kConformance breach/recovery
 // events into the trace ring, a "conformance" section into breach-armed
 // flight bundles, and a contract-health rung (in contract / burning /
-// breached) up through the NMI for MANTTS policy to observe.
+// breached) that the MANTTS adaptation tick reads.
 //
 // Determinism contract: everything here derives from virtual time and the
 // event stream only. Windows close lazily as events arrive (plus one
@@ -35,7 +35,7 @@ namespace adaptive::unites {
 
 class MetricRepository;
 
-/// Contract-health rung reported up through the NMI (ordered by severity).
+/// Contract-health rung read by MANTTS adaptation (ordered by severity).
 enum class ContractHealth : std::uint8_t {
   kNone = 0,     ///< no contract registered for the session
   kInContract,   ///< budget intact, no burn alarm
@@ -95,24 +95,23 @@ struct WindowVerdict {
 void grade_window(const mantts::QosContract& c, const WindowStats& s, bool grade_throughput,
                   WindowVerdict& out);
 
-struct ConformanceConfig {
-  sim::SimTime window = sim::SimTime::milliseconds(250);
-  /// Consecutive bad windows to enter a breach episode / clean windows to
-  /// leave it (hysteresis, so one marginal window cannot flap the rung).
-  int breach_enter = 2;
-  int breach_exit = 2;
-  /// An outstanding unit older than this at a window close is declared
-  /// lost (charged to that window). Must exceed retransmission chains or
-  /// clean reliable runs read false loss; finalize() ignores it.
-  sim::SimTime loss_horizon = sim::SimTime::seconds(2);
-  /// Multi-window burn-rate detection: fraction of bad windows over the
-  /// trailing short/long window, divided by the contract's budget
-  /// fraction. Alarm thresholds per the SRE fast/slow-burn pattern.
-  std::size_t fast_windows = 4;
-  std::size_t slow_windows = 16;
-  double fast_burn_alarm = 10.0;
-  double slow_burn_alarm = 2.0;
-};
+/// Conformance window length.
+inline constexpr sim::SimTime kConformanceWindow = sim::SimTime::milliseconds(250);
+/// Consecutive bad windows to enter a breach episode / clean windows to
+/// leave it (hysteresis, so one marginal window cannot flap the rung).
+inline constexpr int kBreachEnterWindows = 2;
+inline constexpr int kBreachExitWindows = 2;
+/// An outstanding unit older than this at a window close is declared lost
+/// (charged to that window). Must exceed retransmission chains or clean
+/// reliable runs read false loss; finalize() ignores it.
+inline constexpr sim::SimTime kLossHorizon = sim::SimTime::seconds(2);
+/// Multi-window burn-rate detection: fraction of bad windows over the
+/// trailing short/long window, divided by the contract's budget fraction.
+/// Alarm thresholds per the SRE fast/slow-burn pattern.
+inline constexpr std::size_t kFastBurnWindows = 4;
+inline constexpr std::size_t kSlowBurnWindows = 16;
+inline constexpr double kFastBurnAlarm = 10.0;
+inline constexpr double kSlowBurnAlarm = 2.0;
 
 /// Everything the monitor knows about one session, exported at harvest.
 struct SessionConformance {
@@ -142,8 +141,6 @@ struct SessionConformance {
 
 class ConformanceMonitor {
 public:
-  explicit ConformanceMonitor(ConformanceConfig cfg = {});
-
   /// Disabled: registration and every feed become early-return no-ops
   /// (the bench_fig6_unites overhead gate measures exactly this delta).
   void set_enabled(bool on) { enabled_ = on; }
@@ -192,8 +189,6 @@ public:
   /// timeline and its Chrome counter exports.
   void capture_timeline(sim::SimTime when, Timeline& out) const;
 
-  [[nodiscard]] const ConformanceConfig& config() const { return cfg_; }
-
 private:
   struct Outstanding {
     std::int64_t sent_ns = 0;
@@ -223,7 +218,6 @@ private:
   void update_budget(State& st, std::int64_t at_ns, const WindowVerdict& v);
   void refresh_qoe(State& st);
 
-  ConformanceConfig cfg_;
   MetricRepository* repo_ = nullptr;
   bool enabled_ = true;
   std::map<std::uint32_t, State> sessions_;

@@ -1,6 +1,5 @@
 #include "unites/flight_recorder.hpp"
 
-#include "sim/logging.hpp"
 #include "unites/export.hpp"
 #include "unites/json_writer.hpp"
 
@@ -97,14 +96,6 @@ std::string FlightRecorder::dump(const FlightBundle& b) const {
   write_bundle(out, b);
   out.close();
   if (!out) throw std::runtime_error("FlightRecorder: write failed for '" + path + "'");
-
-  std::string rules;
-  for (const auto& v : b.violations) {
-    if (!rules.empty()) rules += ",";
-    rules += v.rule;
-  }
-  sim::Logger::log(sim::LogLevel::kWarn, sim::SimTime::zero(), "unites.flight",
-                   "wrote " + path + " (" + b.reason + (rules.empty() ? "" : ": " + rules) + ")");
   return path;
 }
 

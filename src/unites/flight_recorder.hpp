@@ -14,7 +14,6 @@
 // observed the failure (seed-named files, so parallel shards never
 // contend). Content derives from virtual time only (include_wall=false),
 // so a bundle is byte-identical no matter how many jobs the sweep used.
-// Echo goes through sim::Logger — never raw stderr.
 #pragma once
 
 #include "unites/profiler.hpp"
@@ -70,8 +69,7 @@ public:
 
   /// Write `b` to "<dir>/flight-seed<seed>.json"; returns the path.
   /// Throws std::runtime_error if the directory or file cannot be
-  /// created or the file cannot be fully written. Echoes one kWarn line
-  /// through sim::Logger.
+  /// created or the file cannot be fully written.
   std::string dump(const FlightBundle& b) const;
 
   [[nodiscard]] const std::string& dir() const { return dir_; }

@@ -1,10 +1,8 @@
 #include "unites/profiler.hpp"
 
 #include "sim/event_scheduler.hpp"
-#include "sim/logging.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
 namespace adaptive::unites {
@@ -255,13 +253,6 @@ void ProfileScope::leave() {
   if (parent_ != nullptr) {
     parent_->child_sim_ += sim_elapsed;
     parent_->child_wall_ += wall_elapsed;
-  } else if (prof_->echo()) {
-    char buf[160];
-    std::snprintf(buf, sizeof buf, "zone %s calls=%llu self_sim_ns=%lld", node_->name,
-                  static_cast<unsigned long long>(node_->calls),
-                  static_cast<long long>(node_->sim_ns));
-    sim::Logger::log(sim::LogLevel::kTrace, sim::SimTime(prof_->sim_now_ns()), "unites.profiler",
-                     buf);
   }
 }
 

@@ -137,11 +137,6 @@ public:
 
   void clear();
 
-  /// Debug echo: mirror every completed top-level zone through sim::Logger
-  /// at kTrace level (same convention as TraceRecorder::set_echo).
-  void set_echo(bool on) { echo_ = on; }
-  [[nodiscard]] bool echo() const { return echo_; }
-
   ~Profiler();
   Profiler() = default;
   Profiler(const Profiler&) = delete;
@@ -168,7 +163,6 @@ private:
   [[nodiscard]] static ProfileNode snapshot_node(const Node& n, double ns_per_tick);
 
   bool enabled_ = false;
-  bool echo_ = false;
   const sim::EventScheduler* clock_ = nullptr;
   std::unordered_map<std::uint32_t, std::unique_ptr<Node>> roots_;  ///< session roots by id
   Node* cursor_ = nullptr;                    ///< innermost open zone

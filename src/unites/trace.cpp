@@ -1,9 +1,5 @@
 #include "unites/trace.hpp"
 
-#include "sim/logging.hpp"
-
-#include <cstdio>
-
 namespace adaptive::unites {
 
 const char* to_string(TraceCategory c) {
@@ -48,13 +44,6 @@ void TraceRecorder::enable(std::size_t capacity) {
 void TraceRecorder::disable() { enabled_ = false; }
 
 void TraceRecorder::push(TraceEvent&& e) {
-  if (echo_) {
-    char buf[160];
-    std::snprintf(buf, sizeof buf, "%s %s node=%u conn=%u value=%g%s%s", to_string(e.category),
-                  e.name, e.node, e.session, e.value, e.detail != nullptr ? " " : "",
-                  e.detail != nullptr ? e.detail : "");
-    sim::Logger::log(sim::LogLevel::kTrace, e.when, "unites.trace", buf);
-  }
   ++emitted_;
   if (ring_.size() < capacity_) {
     ring_.push_back(std::move(e));

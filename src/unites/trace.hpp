@@ -85,11 +85,6 @@ public:
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
   void clear();
 
-  /// Debug echo: mirror every recorded event through sim::Logger at
-  /// kTrace level, so a captured log sink sees the trace stream too.
-  void set_echo(bool on) { echo_ = on; }
-  [[nodiscard]] bool echo() const { return echo_; }
-
 private:
   void push(TraceEvent&& e);
 
@@ -98,7 +93,6 @@ private:
   std::size_t head_ = 0;  ///< next write slot once the ring is full
   std::uint64_t emitted_ = 0;
   bool enabled_ = false;
-  bool echo_ = false;
 };
 
 /// RAII install of a recorder as the calling thread's current one. The

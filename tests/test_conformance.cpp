@@ -545,6 +545,31 @@ TEST(ConformanceScenario, ReconfigurationReRegistersTheContract) {
   EXPECT_GE(out.conformance.registrations, 1u + out.reconfigurations);
 }
 
+TEST(ConformanceScenario, ContractOverrideSurvivesResynthesis) {
+  // The failover scenario above with an explicit contract override: the
+  // monitor holds the only copy of the contract, so every resynthesis
+  // re-registers the override, never the ACD-derived contract MANTTS
+  // registered at open.
+  World world([](sim::EventScheduler& s) { return net::make_dual_path_wan(s, 93); });
+  RunOptions opt;
+  opt.application = app::Table1App::kManufacturingControl;
+  opt.mode = RunOptions::Mode::kMantttsAdaptive;
+  opt.duration = sim::SimTime::seconds(12);
+  opt.scale = 0.5;
+  mantts::QosContract c;
+  c.max_latency_ns = 123'456'789;
+  c.loss_tolerance = 0.5;
+  opt.qos_contract = c;
+  world.scheduler().schedule_after(sim::SimTime::seconds(4), [&] {
+    world.network().set_link_pair_up(world.topology().scenario_links[0], false);
+  });
+  const auto out = run_scenario(world, opt);
+  ASSERT_GT(out.reconfigurations, 0u);
+  EXPECT_GE(out.conformance.registrations, 2u + out.reconfigurations);
+  EXPECT_EQ(out.conformance.contract.max_latency_ns, 123'456'789);
+  EXPECT_EQ(out.conformance.contract.loss_tolerance, 0.5);
+}
+
 TEST(ConformanceScenario, HandoverResynthesisReRegistersTheContract) {
   World world([](sim::EventScheduler& s) { return net::make_mobile_wan(s, 3, 3, 7); });
   RunOptions opt;

@@ -203,7 +203,7 @@ TEST(DurationGate, ShortSessionsSkipAdaptation) {
   tko::TransportSession* session = nullptr;
   world.mantts(0).open_session(acd, [&](auto r) { session = r.session; });
   ASSERT_NE(session, nullptr);
-  EXPECT_FALSE(world.mantts(0).adaptation_enabled(*session));
+  EXPECT_FALSE(world.mantts(0).adaptation_enabled(session->id()));
   EXPECT_EQ(world.mantts(0).stats().adaptations_skipped_short_session, 1u);
 
   acd.quantitative.duration = sim::SimTime::seconds(600);
@@ -211,7 +211,7 @@ TEST(DurationGate, ShortSessionsSkipAdaptation) {
   world.mantts(0).open_session(acd, [&](auto r) { long_session = r.session; });
   world.run_for(sim::SimTime::seconds(1));  // explicit negotiation round trip
   ASSERT_NE(long_session, nullptr);
-  EXPECT_TRUE(world.mantts(0).adaptation_enabled(*long_session));
+  EXPECT_TRUE(world.mantts(0).adaptation_enabled(long_session->id()));
 }
 
 // ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@
 #include "net/routing.hpp"
 #include "net/topologies.hpp"
 #include "sim/event_scheduler.hpp"
+#include "sim/random.hpp"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 namespace adaptive::net {
 namespace {
@@ -389,19 +392,57 @@ TEST(Multicast, GroupApiValidation) {
 
 TEST(Monitor, RecentLossRateWindowed) {
   NetworkMonitor mon;
-  for (int i = 0; i < 8; ++i) mon.record(NetEventKind::kDeliver, sim::SimTime::zero(), "");
-  for (int i = 0; i < 2; ++i) mon.record(NetEventKind::kDrop, sim::SimTime::zero(), "");
-  EXPECT_NEAR(mon.recent_loss_rate(10), 0.2, 1e-9);
-  EXPECT_NEAR(mon.recent_loss_rate(2), 1.0, 1e-9);
+  EXPECT_EQ(mon.recent_loss_rate(), 0.0);
+  for (int i = 0; i < 8; ++i) mon.record(NetEventKind::kDeliver);
+  for (int i = 0; i < 2; ++i) mon.record(NetEventKind::kDrop);
+  mon.record(NetEventKind::kRouteChange);  // not an outcome
+  mon.record(NetEventKind::kFault);
+  EXPECT_NEAR(mon.recent_loss_rate(), 0.2, 1e-9);
+  // 254 more deliveries push the first 8 out: the window is the 2 drops
+  // and the 254 deliveries.
+  for (int i = 0; i < 254; ++i) mon.record(NetEventKind::kDeliver);
+  EXPECT_NEAR(mon.recent_loss_rate(), 2.0 / 256.0, 1e-12);
+  for (int i = 0; i < 2; ++i) mon.record(NetEventKind::kDeliver);
+  EXPECT_EQ(mon.recent_loss_rate(), 0.0);
+  EXPECT_EQ(mon.total_drops(), 2u);
+  EXPECT_EQ(mon.total_deliveries(), 264u);
+  EXPECT_EQ(mon.route_changes(), 1u);
+  EXPECT_EQ(mon.faults(), 1u);
 }
 
-TEST(Monitor, SubscribersSeeEvents) {
+TEST(Monitor, RecentLossRateMatchesAScanOfTheLastOutcomes) {
+  // Reference: keep every outcome and scan back over the last
+  // kLossWindow of them, as the history-based monitor did.
   NetworkMonitor mon;
-  int events = 0;
-  mon.subscribe([&](const NetEvent&) { ++events; });
-  mon.record(NetEventKind::kDrop, sim::SimTime::zero(), "x");
-  mon.record(NetEventKind::kLinkDown, sim::SimTime::zero(), "y");
-  EXPECT_EQ(events, 2);
+  std::vector<bool> outcomes;  // true = drop
+  sim::Rng rng(2024);
+  double drop_p = 0.0;
+  double outcome_p = 1.0;
+  for (int i = 0; i < 5000; ++i) {
+    if (i % 250 == 0) {  // phases: clean, lossy, all-drop, mostly not outcomes
+      drop_p = std::vector<double>{0.0, 0.05, 0.5, 1.0}[rng.uniform_int(0, 3)];
+      outcome_p = rng.bernoulli(0.25) ? 0.1 : 0.95;
+    }
+    NetEventKind kind;
+    if (rng.bernoulli(outcome_p)) {
+      kind = rng.bernoulli(drop_p) ? NetEventKind::kDrop : NetEventKind::kDeliver;
+      outcomes.push_back(kind == NetEventKind::kDrop);
+    } else {
+      kind = rng.bernoulli(0.5) ? NetEventKind::kRouteChange : NetEventKind::kFault;
+    }
+    mon.record(kind);
+    std::uint64_t drops = 0;
+    std::uint64_t total = 0;
+    for (auto it = outcomes.rbegin();
+         it != outcomes.rend() && total < NetworkMonitor::kLossWindow; ++it) {
+      drops += *it ? 1 : 0;
+      ++total;
+    }
+    const double expected =
+        total == 0 ? 0.0 : static_cast<double>(drops) / static_cast<double>(total);
+    ASSERT_EQ(mon.recent_loss_rate(), expected) << "after event " << i;
+  }
+  EXPECT_GT(outcomes.size(), NetworkMonitor::kLossWindow);
 }
 
 TEST(BackgroundTraffic, CongestsASharedLink) {

@@ -3,10 +3,9 @@
 // are byte-identical to the serial run's — metric by metric, histogram
 // bucket by histogram bucket, trace event by trace event. Plus the
 // shared-state regression tests for the global state that had to be
-// eliminated to get there (process-global TraceRecorder, racy Logger
-// statics), and the ShardRunner/Rng::fork(stream) building blocks.
+// eliminated to get there (process-global TraceRecorder), and the
+// ShardRunner/Rng::fork(stream) building blocks.
 #include "adaptive/sweep.hpp"
-#include "sim/logging.hpp"
 #include "sim/shard_runner.hpp"
 #include "unites/export.hpp"
 
@@ -424,74 +423,6 @@ TEST(SharedStateRegression, ThreadDefaultRecorderDoesNotLeakAcrossThreads) {
   }).join();
   EXPECT_FALSE(unites::trace().enabled());
   EXPECT_EQ(unites::trace().size(), 0u);
-}
-
-// Pre-fix, Logger had a single process sink: a shard capturing its debug
-// stream captured every other shard's lines too.
-TEST(SharedStateRegression, LoggerThreadSinksCaptureOnlyTheirOwnShard) {
-  sim::Logger::set_level(sim::LogLevel::kInfo);
-  auto worker = [](const std::string& tag, int count, std::vector<std::string>* out) {
-    sim::ScopedLogSink sink([out](const std::string& line) { out->push_back(line); });
-    for (int i = 0; i < count; ++i) {
-      sim::Logger::log(sim::LogLevel::kInfo, sim::SimTime::nanoseconds(i), tag,
-                       std::to_string(i));
-    }
-  };
-  std::vector<std::string> a, b;
-  std::thread ta(worker, "shard-a", 2000, &a);
-  std::thread tb(worker, "shard-b", 3000, &b);
-  ta.join();
-  tb.join();
-  sim::Logger::set_level(sim::LogLevel::kOff);
-
-  ASSERT_EQ(a.size(), 2000u);
-  ASSERT_EQ(b.size(), 3000u);
-  for (const auto& line : a) EXPECT_NE(line.find("shard-a"), std::string::npos) << line;
-  for (const auto& line : b) EXPECT_NE(line.find("shard-b"), std::string::npos) << line;
-}
-
-TEST(SharedStateRegression, ScopedLogSinkRestoresPreviousThreadSink) {
-  std::vector<std::string> outer_lines;
-  sim::Logger::set_level(sim::LogLevel::kInfo);
-  {
-    sim::ScopedLogSink outer([&](const std::string& line) { outer_lines.push_back(line); });
-    {
-      std::vector<std::string> inner_lines;
-      sim::ScopedLogSink inner([&](const std::string& line) { inner_lines.push_back(line); });
-      sim::Logger::log(sim::LogLevel::kInfo, sim::SimTime::zero(), "t", "inner");
-      EXPECT_EQ(inner_lines.size(), 1u);
-    }
-    sim::Logger::log(sim::LogLevel::kInfo, sim::SimTime::zero(), "t", "outer");
-  }
-  sim::Logger::set_level(sim::LogLevel::kOff);
-  ASSERT_EQ(outer_lines.size(), 1u);
-  EXPECT_NE(outer_lines[0].find("outer"), std::string::npos);
-}
-
-// Concurrent logging through the *process* sink must serialize, not race
-// (pre-fix: unsynchronized static std::function, a TSan data race).
-TEST(SharedStateRegression, ProcessSinkIsSafeUnderConcurrentLogging) {
-  std::vector<std::string> lines;
-  std::mutex mu;  // set_sink callbacks run under the logger's own lock, but
-                  // collect defensively anyway
-  sim::Logger::set_sink([&](const std::string& line) {
-    std::lock_guard<std::mutex> lock(mu);
-    lines.push_back(line);
-  });
-  sim::Logger::set_level(sim::LogLevel::kInfo);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([t] {
-      for (int i = 0; i < 500; ++i) {
-        sim::Logger::log(sim::LogLevel::kInfo, sim::SimTime::zero(),
-                         "thread-" + std::to_string(t), std::to_string(i));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  sim::Logger::set_level(sim::LogLevel::kOff);
-  sim::Logger::set_sink(nullptr);
-  EXPECT_EQ(lines.size(), 2000u);
 }
 
 // Audit guard: BufferPool stats are per-host instance state; two worlds

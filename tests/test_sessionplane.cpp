@@ -11,7 +11,8 @@
 //  * MANTTS integration — homogeneous opens are served from the cache,
 //    a renegotiation (RECONFIG) invalidates the stale derivation so the
 //    next identical open re-runs the pipeline, and segues provoked by
-//    PR 2 fault plans do the same while sessions churn around them.
+//    fault plans do the same while sessions churn around them. A
+//    session the transport reaps releases every MANTTS entry it had.
 //  * City driver — a 10k-session world swept at jobs=1 and jobs=8 merges
 //    byte-identically; a chaos-impaired churn soak tears down to the
 //    exact pool baseline with every table slot reaped; the invariant
@@ -429,7 +430,7 @@ TEST(SessionPlane, SegueUnderChurnInvalidatesStaleDerivations) {
   });
   ASSERT_NE(primary, nullptr);
   EXPECT_EQ(opened.scs.connection, tko::sa::ConnectionScheme::kImplicit);
-  ASSERT_TRUE(entity.adaptation_enabled(*primary));
+  ASSERT_TRUE(entity.adaptation_enabled(primary->id()));
   EXPECT_EQ(entity.synthesis_cache().stats().misses, 1u);
   send_one(*primary);
 
@@ -467,6 +468,52 @@ TEST(SessionPlane, SegueUnderChurnInvalidatesStaleDerivations) {
   world.run_for(sim::SimTime::seconds(2));
   EXPECT_EQ(world.transport(0).session_count(), 0u);
   EXPECT_EQ(world.transport(1).session_count(), 0u);
+}
+
+TEST(SessionPlane, ReapedSessionsReleaseTheirMantttsState) {
+  // Opened through MANTTS with a collector and adaptation, closed through
+  // the transport (as run_city closes its sessions), then destroyed by the
+  // reaper: the entity's per-session state must go with it. Its collector
+  // and adaptation timers used to keep sampling the freed session
+  // (heap-use-after-free under ASan), and it counted as active forever.
+  World world([](sim::EventScheduler& s) { return net::make_congested_wan(s, 2, 11); });
+  for (std::size_t i = 0; i < world.topology().hosts.size(); ++i) {
+    world.transport(i).set_session_reaper(sim::SimTime::milliseconds(20));
+  }
+  auto& entity = world.mantts(0);
+  const auto descriptor = entity.nmi().sample(world.node(1));
+  ASSERT_TRUE(descriptor.reachable);
+  Acd acd;
+  acd.remotes = {world.transport_address(1)};
+  acd.quantitative.average_throughput = sim::Rate::kbps(64);
+  acd.quantitative.peak_throughput = sim::Rate::kbps(64);
+  acd.quantitative.duration = sim::SimTime::seconds(30);  // adaptation-worthy
+  acd.quantitative.max_latency = descriptor.rtt * 2;      // forces implicit
+  acd.collect_metrics = true;
+  acd.adjustments = mantts::PolicyEngine::default_rules();
+
+  tko::TransportSession* session = open_now(world, 0, acd);
+  ASSERT_NE(session, nullptr);
+  const std::uint32_t sid = session->id();
+  ASSERT_TRUE(entity.adaptation_enabled(sid));
+  EXPECT_EQ(entity.active_sessions(), 1u);
+  // One message, so the implicit session has a passive mirror to answer
+  // its FIN (see SegueUnderChurnInvalidatesStaleDerivations).
+  tko::Message m(session->buffer_pool());
+  auto span = m.append_uninit(64);
+  std::memset(span.data(), 0x5A, span.size());
+  ASSERT_TRUE(session->send(std::move(m)));
+  world.run_for(sim::SimTime::milliseconds(300));  // a few samples and ticks
+
+  session->close(/*graceful=*/true);
+  session = nullptr;
+  world.run_for(sim::SimTime::seconds(1));  // far past the 20 ms linger
+  EXPECT_EQ(world.transport(0).sessions_reaped(), 1u);
+  EXPECT_EQ(world.transport(0).session_count(), 0u);
+  EXPECT_FALSE(entity.adaptation_enabled(sid));
+  EXPECT_EQ(entity.active_sessions(), 0u);
+  EXPECT_EQ(entity.observed_route_version(sid), 0u);
+  EXPECT_EQ(entity.stats().sessions_closed, 0u);  // never through close_session
 }
 
 TEST(SessionPlane, SlimSessionBudget) {

@@ -1,7 +1,6 @@
 // Unit tests for the discrete-event kernel: virtual time, scheduler
 // ordering/cancellation, and the reproducible RNG.
 #include "sim/event_scheduler.hpp"
-#include "sim/logging.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 
@@ -512,18 +511,6 @@ TEST(Rng, ForkIndependence) {
   Rng parent2(21);
   (void)parent2.next_u64();  // same position as parent after fork
   EXPECT_NE(child.next_u64(), parent2.next_u64());
-}
-
-TEST(Logger, RespectsLevelAndSink) {
-  std::vector<std::string> lines;
-  Logger::set_sink([&](const std::string& s) { lines.push_back(s); });
-  Logger::set_level(LogLevel::kWarn);
-  Logger::log(LogLevel::kInfo, SimTime::zero(), "c", "dropped");
-  Logger::log(LogLevel::kError, SimTime::milliseconds(1), "c", "kept");
-  EXPECT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("kept"), std::string::npos);
-  Logger::set_level(LogLevel::kOff);
-  Logger::set_sink(nullptr);
 }
 
 }  // namespace

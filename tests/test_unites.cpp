@@ -2,7 +2,6 @@
 #include "adaptive/world.hpp"
 #include "net/topologies.hpp"
 #include "tko/sa/templates.hpp"
-#include "sim/logging.hpp"
 #include "unites/analysis.hpp"
 #include "unites/collector.hpp"
 #include "unites/conformance.hpp"
@@ -652,28 +651,6 @@ TEST(Trace, MetricsJsonlCarriesPercentiles) {
   const Histogram* h = repo.histogram(key);
   ASSERT_NE(h, nullptr);
   EXPECT_GT(h->p50(), 0.0);
-}
-
-TEST(Trace, EchoRoutesThroughLoggerSink) {
-  std::vector<std::string> captured;
-  sim::Logger::set_level(sim::LogLevel::kTrace);
-  sim::Logger::set_sink([&](const std::string& line) { captured.push_back(line); });
-
-  TraceRecorder rec;
-  rec.enable(8);
-  rec.set_echo(true);
-  rec.instant(TraceCategory::kApp, "app.deliver", sim::SimTime::milliseconds(3), 1, 4, 88.0);
-  rec.set_echo(false);
-  rec.instant(TraceCategory::kApp, "app.deliver", sim::SimTime::milliseconds(4), 1, 4, 99.0);
-
-  sim::Logger::set_sink(nullptr);
-  sim::Logger::set_level(sim::LogLevel::kOff);
-
-  ASSERT_EQ(captured.size(), 1u);  // only the echoed event reached the sink
-  EXPECT_NE(captured[0].find("unites.trace"), std::string::npos);
-  EXPECT_NE(captured[0].find("app.deliver"), std::string::npos);
-  EXPECT_NE(captured[0].find("TRACE"), std::string::npos);
-  EXPECT_EQ(rec.size(), 2u);  // both events still recorded regardless of echo
 }
 
 // ---------------------------------------------------------------------------

@@ -22,11 +22,15 @@
 #include "unites/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 using namespace adaptive;
 
@@ -191,6 +195,33 @@ World::TopologyFactory topology_factory(const std::string& name, std::uint64_t s
   return [seed](sim::EventScheduler& s) { return net::make_ethernet_lan(s, 2, seed); };
 }
 
+[[noreturn]] void bad_value(const std::string& flag, std::string_view v, const char* want) {
+  std::fprintf(stderr, "bad value for %s: '%.*s' (want %s)\n", flag.c_str(),
+               static_cast<int>(v.size()), v.data(), want);
+  std::exit(1);
+}
+
+// Numeric values are whole tokens, as --seeds items are: no sign, no
+// whitespace, nothing trailing. Anything else exits 1 naming the flag.
+std::uint64_t count_value(const std::string& flag, std::string_view v) {
+  std::uint64_t out = 0;
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+  if (ec != std::errc{} || ptr != end) bad_value(flag, v, "a non-negative integer");
+  return out;
+}
+
+/// Times and the scale factor: finite and >= 0.
+double real_value(const std::string& flag, std::string_view v) {
+  double out = 0.0;
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(out) || out < 0.0) {
+    bad_value(flag, v, "a finite number >= 0");
+  }
+  return out;
+}
+
 std::optional<CliOptions> parse_args(int argc, char** argv) {
   CliOptions opt;
   for (int i = 1; i < argc; ++i) {
@@ -212,18 +243,21 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
     if (arg == "--topology") opt.topology = v;
     else if (arg == "--app") opt.app = v;
     else if (arg == "--mode") opt.mode = v;
-    else if (arg == "--duration") opt.duration = std::atof(v);
-    else if (arg == "--drain") opt.drain = std::atof(v);
-    else if (arg == "--scale") opt.scale = std::atof(v);
-    else if (arg == "--seed") opt.seed = std::strtoull(v, nullptr, 10);
+    else if (arg == "--duration") opt.duration = real_value(arg, v);
+    else if (arg == "--drain") opt.drain = real_value(arg, v);
+    else if (arg == "--scale") opt.scale = real_value(arg, v);
+    else if (arg == "--seed") opt.seed = count_value(arg, v);
     else if (arg == "--seeds") opt.seeds = v;
-    else if (arg == "--jobs") opt.jobs = std::max<std::size_t>(1, std::strtoull(v, nullptr, 10));
+    else if (arg == "--jobs") {
+      opt.jobs = count_value(arg, v);
+      if (opt.jobs == 0) bad_value(arg, v, "an integer >= 1");
+    }
     else if (arg == "--chaos") {
       if (std::strcmp(v, "mobility") == 0) opt.chaos_mobility = true;
-      else opt.chaos = std::strtoull(v, nullptr, 10);
+      else opt.chaos = count_value(arg, v);
     }
-    else if (arg == "--src") opt.src = std::stoul(v);
-    else if (arg == "--fail-link-at") opt.fail_link_at = std::atof(v);
+    else if (arg == "--src") opt.src = count_value(arg, v);
+    else if (arg == "--fail-link-at") opt.fail_link_at = real_value(arg, v);
     else if (arg == "--fault-plan") opt.fault_plan = v;
     else if (arg == "--handover-plan") opt.handover_plan = v;
     else if (arg == "--spec") opt.spec_path = v;
@@ -232,13 +266,17 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
     else if (arg == "--profile-out") opt.profile_out = v;
     else if (arg == "--span-out") opt.span_out = v;
     else if (arg == "--timeline-out") opt.timeline_out = v;
-    else if (arg == "--timeline-period") opt.timeline_period = std::atof(v);
+    else if (arg == "--timeline-period") opt.timeline_period = real_value(arg, v);
     else if (arg == "--qos-out") opt.qos_out = v;
     else if (arg == "--flight-recorder-dir") opt.flight_dir = v;
     else if (arg == "--members") {
-      std::istringstream in(v);
-      std::string tok;
-      while (std::getline(in, tok, ',')) opt.members.push_back(std::stoul(tok));
+      const std::string_view all(v);
+      for (std::size_t pos = 0;;) {
+        const std::size_t comma = std::min(all.find(',', pos), all.size());
+        opt.members.push_back(count_value(arg, all.substr(pos, comma - pos)));
+        if (comma == all.size()) break;
+        pos = comma + 1;
+      }
     } else {
       std::fprintf(stderr, "unknown option %s\n", arg.c_str());
       return std::nullopt;
@@ -279,6 +317,21 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bad --app, --mode, or --topology\n\n");
     usage();
     return 1;
+  }
+  // Host indices must name hosts of the chosen topology.
+  {
+    sim::EventScheduler sched;
+    const std::size_t hosts = factory(sched).hosts.size();
+    const auto check_host = [&](const char* flag, std::size_t h) {
+      if (h < hosts) return true;
+      std::fprintf(stderr, "bad value for %s: '%zu' (topology %s has hosts 0..%zu)\n", flag, h,
+                   cli->topology.c_str(), hosts - 1);
+      return false;
+    };
+    if (!check_host("--src", cli->src)) return 1;
+    for (const std::size_t m : cli->members) {
+      if (!check_host("--members", m)) return 1;
+    }
   }
 
   std::optional<unites::MetricSpecProgram> program;
