@@ -48,6 +48,7 @@ RunOutcome run_scenario(World& world, const RunOptions& opt) {
   net::NodeId group = 0;
   if (is_multicast) {
     group = world.network().create_group();
+    const net::Network::RouteBatch batch(world.network());  // one computation for all joins
     for (const std::size_t m : opt.multicast_members) {
       world.network().join_group(group, world.node(m));
       receiver_hosts.push_back(m);

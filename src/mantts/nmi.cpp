@@ -1,6 +1,7 @@
 #include "mantts/nmi.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace adaptive::mantts {
 
@@ -9,8 +10,10 @@ NetworkMonitorInterface::NetworkMonitorInterface(net::Network& network, net::Nod
 
 NetworkStateDescriptor NetworkMonitorInterface::sample_unicast(net::NodeId remote) {
   NetworkStateDescriptor d;
-  const auto path = net_.path(local_, remote);
-  d.reachable = !path.empty();
+  // One walk of the forward path yields its node list and every value
+  // below; the reverse path is walked only for the idle RTT estimate.
+  net::PathSample fwd = net_.sample_path(local_, remote, 64);
+  d.reachable = !fwd.nodes.empty();
   if (!d.reachable) {
     d.degraded = true;
     return d;
@@ -21,13 +24,12 @@ NetworkStateDescriptor NetworkMonitorInterface::sample_unicast(net::NodeId remot
   if (probe != probe_rtt_.end() && probe->second.has_sample()) {
     d.rtt = probe->second.srtt();
   } else {
-    d.rtt =
-        net_.path_idle_latency(local_, remote, 64) + net_.path_idle_latency(remote, local_, 64);
+    d.rtt = fwd.idle_latency + net_.path_idle_latency(remote, local_, 64);
   }
-  d.bottleneck = net_.path_bottleneck(local_, remote);
-  d.mtu = net_.path_mtu(local_, remote);
-  d.bit_error_rate = net_.path_bit_error_rate(local_, remote);
-  d.congestion = net_.path_congestion(local_, remote);
+  d.bottleneck = fwd.bottleneck;
+  d.mtu = fwd.mtu;
+  d.bit_error_rate = fwd.bit_error_rate;
+  d.congestion = fwd.congestion;
   d.recent_loss_rate = net_.monitor().recent_loss_rate();
 
   // Worst-case BER matters here, not the instantaneous one: corrupted
@@ -38,8 +40,8 @@ NetworkStateDescriptor NetworkMonitorInterface::sample_unicast(net::NodeId remot
                d.congestion >= kDegradedCongestion || d.bit_error_rate >= kDegradedBer;
 
   auto& last = last_path_[remote];
-  if (last != path) {
-    last = path;
+  if (last != fwd.nodes) {
+    last = std::move(fwd.nodes);
     ++route_version_[remote];
   }
   d.route_version = route_version_[remote];

@@ -147,6 +147,7 @@ void FaultInjector::begin_episode(const sim::FaultSpec& spec, std::uint64_t epis
     case sim::FaultKind::kPartition: {
       const auto pairs = node_link_pairs(spec);
       if (pairs.empty()) return;
+      const Network::RouteBatch batch(net_);  // one route computation for all pairs
       for (const LinkId id : pairs) take_pair_down(id);
       break;
     }
@@ -176,6 +177,7 @@ void FaultInjector::end_episode(const sim::FaultSpec& spec, std::uint64_t episod
     case sim::FaultKind::kPartition: {
       const auto pairs = node_link_pairs(spec);
       if (pairs.empty()) return;
+      const Network::RouteBatch batch(net_);
       for (const LinkId id : pairs) release_pair(id);
       break;
     }

@@ -12,15 +12,17 @@ Network::Network(sim::EventScheduler& sched, std::uint64_t seed) : sched_(sched)
 NodeId Network::add_host(std::string name) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(std::make_unique<HostNode>(id, std::move(name)));
-  adjacency_[id];
+  is_host_.push_back(true);
+  adjacency_.emplace_back();
   groups_.join(broadcast_group_, id);  // every host hears broadcasts
   return id;
 }
 
 NodeId Network::add_switch(std::string name, const SwitchConfig& cfg) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(std::make_unique<SwitchNode>(id, std::move(name), cfg, sched_));
-  adjacency_[id];
+  nodes_.push_back(std::make_unique<SwitchNode>(id, std::move(name), cfg, sched_, routes_));
+  is_host_.push_back(false);
+  adjacency_.emplace_back();
   return id;
 }
 
@@ -32,12 +34,9 @@ std::pair<LinkId, LinkId> Network::connect(NodeId a, NodeId b, const LinkConfig&
     const LinkId id = static_cast<LinkId>(links_.size());
     links_.push_back(std::make_unique<Link>(id, from, to, cfg, sched_, rng_.fork()));
     Link* l = links_.back().get();
-    l->set_deliver([this, to](Packet&& p) {
-      Node& n = *nodes_[to];
-      if (dynamic_cast<HostNode*>(&n) != nullptr) {
-        monitor_.record(NetEventKind::kDeliver);
-      }
-      n.receive(std::move(p));
+    l->set_deliver([this, n = nodes_[to].get(), to_host = is_host_[to]](Packet&& p) {
+      if (to_host) monitor_.record(NetEventKind::kDeliver);
+      n->receive(std::move(p));
     });
     l->set_on_drop([this](const Packet&, const char*) { monitor_.record(NetEventKind::kDrop); });
     adjacency_[from].push_back(l);
@@ -45,7 +44,7 @@ std::pair<LinkId, LinkId> Network::connect(NodeId a, NodeId b, const LinkConfig&
   };
   const LinkId fwd = make(a, b);
   const LinkId rev = make(b, a);
-  recompute_routes();
+  routes_changed();
   return {fwd, rev};
 }
 
@@ -58,64 +57,29 @@ void Network::set_link_pair_up(LinkId forward_id, bool up) {
   Link& r = *links_[forward_id ^ 1u];
   f.set_up(up);
   r.set_up(up);
-  recompute_routes();
+  routes_changed();
 }
 
 void Network::join_group(NodeId group, NodeId host) {
-  if (groups_.join(group, host)) recompute_routes();
+  if (groups_.join(group, host)) routes_changed();
 }
 
 void Network::leave_group(NodeId group, NodeId host) {
-  if (groups_.leave(group, host)) recompute_routes();
+  if (groups_.leave(group, host)) routes_changed();
+}
+
+void Network::routes_changed() {
+  if (batch_depth_ > 0) {
+    routes_stale_ = true;
+  } else {
+    recompute_routes();
+  }
 }
 
 void Network::recompute_routes() {
-  install_unicast_routes();
-  install_multicast_routes();
+  routes_.compute(adjacency_, is_host_, groups_);
+  routes_stale_ = false;
   monitor_.record(NetEventKind::kRouteChange);
-}
-
-void Network::install_unicast_routes() {
-  spf_.clear();
-  for (const auto& node : nodes_) {
-    spf_[node->id()] = shortest_paths(adjacency_, node->id());
-  }
-  for (const auto& node : nodes_) {
-    auto* sw = dynamic_cast<SwitchNode*>(node.get());
-    if (sw == nullptr) continue;
-    sw->clear_routes();
-    const SpfResult& spf = spf_[sw->id()];
-    for (const auto& dst : nodes_) {
-      if (dst->id() == sw->id()) continue;
-      auto links = extract_path_links(spf, sw->id(), dst->id());
-      if (!links.empty()) sw->set_unicast_route(dst->id(), links.front());
-    }
-  }
-}
-
-void Network::install_multicast_routes() {
-  host_mcast_.clear();
-  for (NodeId group : groups_.groups()) {
-    const auto& members = groups_.members(group);
-    // Any host may be a source; build a tree per (group, source-host).
-    for (const auto& src_node : nodes_) {
-      if (dynamic_cast<HostNode*>(src_node.get()) == nullptr) continue;
-      const NodeId src = src_node->id();
-      std::vector<NodeId> others;
-      for (NodeId m : members) {
-        if (m != src) others.push_back(m);
-      }
-      if (others.empty()) continue;
-      auto tree = multicast_tree(adjacency_, src, others);
-      for (auto& [node_id, outs] : tree) {
-        if (node_id == src) {
-          host_mcast_[{group, src}] = outs;
-        } else if (auto* sw = dynamic_cast<SwitchNode*>(nodes_[node_id].get())) {
-          sw->set_multicast_routes(group, src, outs);
-        }
-      }
-    }
-  }
 }
 
 void Network::inject(Packet&& p) {
@@ -124,24 +88,22 @@ void Network::inject(Packet&& p) {
   const NodeId src = p.src.node;
   if (src >= nodes_.size()) throw std::invalid_argument("Network::inject: unknown source");
   if (is_multicast(p.dst.node)) {
-    auto it = host_mcast_.find({p.dst.node, src});
-    if (it == host_mcast_.end() || it->second.empty()) {
+    const auto outs = routes_.multicast_outs(p.dst.node, src, src);
+    if (outs.empty()) {
       monitor_.record(NetEventKind::kDrop);
       return;
     }
-    const auto& outs = it->second;
     for (std::size_t i = 0; i + 1 < outs.size(); ++i) outs[i]->transmit(Packet(p));
     outs.back()->transmit(std::move(p));
     return;
   }
-  auto spf_it = spf_.find(src);
-  if (spf_it == spf_.end()) throw std::logic_error("Network::inject: routes not computed");
-  auto links = extract_path_links(spf_it->second, src, p.dst.node);
-  if (links.empty()) {
+  if (src >= routes_.node_count()) throw std::logic_error("Network::inject: routes not computed");
+  Link* out = routes_.first_hop(src, p.dst.node);
+  if (out == nullptr) {
     monitor_.record(NetEventKind::kDrop);
     return;
   }
-  links.front()->transmit(std::move(p));
+  out->transmit(std::move(p));
 }
 
 void Network::set_host_rx(NodeId host, HostNode::RxFn fn) {
@@ -157,59 +119,63 @@ Node& Network::node(NodeId id) { return *nodes_.at(id); }
 
 std::vector<NodeId> Network::hosts() const {
   std::vector<NodeId> out;
-  for (const auto& n : nodes_) {
-    if (dynamic_cast<const HostNode*>(n.get()) != nullptr) out.push_back(n->id());
+  for (NodeId id = 0; id < is_host_.size(); ++id) {
+    if (is_host_[id]) out.push_back(id);
   }
   return out;
 }
 
-std::vector<Link*> Network::path_links(NodeId src, NodeId dst) const {
-  auto it = spf_.find(src);
-  if (it == spf_.end()) return {};
-  return extract_path_links(it->second, src, dst);
+PathSample Network::fold_path(NodeId src, NodeId dst, std::size_t bytes, bool with_nodes) const {
+  PathSample s;
+  std::size_t hops = 0;
+  std::size_t mtu = SIZE_MAX;
+  sim::Rate bottleneck = sim::Rate::gbps(1e9);
+  const bool reachable = routes_.walk(src, dst, [&](const Link& l) {
+    ++hops;
+    if (with_nodes) s.nodes.push_back(l.to());
+    mtu = std::min(mtu, l.config().mtu_bytes);
+    s.idle_latency += l.idle_latency(bytes);
+    bottleneck = std::min(bottleneck, l.config().bandwidth);
+    s.bit_error_rate = std::max(s.bit_error_rate, l.worst_case_ber());
+    s.congestion = std::max(s.congestion, l.queue_utilization());
+  });
+  if (reachable && with_nodes) {
+    s.nodes.push_back(src);
+    std::ranges::reverse(s.nodes);
+  }
+  if (hops > 0) {  // a path of no links (src == dst) reads like an unreachable one
+    s.mtu = mtu;
+    s.bottleneck = bottleneck;
+  }
+  return s;
+}
+
+PathSample Network::sample_path(NodeId src, NodeId dst, std::size_t bytes) const {
+  return fold_path(src, dst, bytes, true);
 }
 
 std::vector<NodeId> Network::path(NodeId src, NodeId dst) const {
-  auto it = spf_.find(src);
-  if (it == spf_.end()) return {};
-  return extract_path(it->second, src, dst);
+  return fold_path(src, dst, 0, true).nodes;
 }
 
 std::size_t Network::path_mtu(NodeId src, NodeId dst) const {
-  const auto links = path_links(src, dst);
-  if (links.empty()) return 0;
-  std::size_t mtu = SIZE_MAX;
-  for (const Link* l : links) mtu = std::min(mtu, l->config().mtu_bytes);
-  return mtu;
+  return fold_path(src, dst, 0, false).mtu;
 }
 
 sim::SimTime Network::path_idle_latency(NodeId src, NodeId dst, std::size_t bytes) const {
-  const auto links = path_links(src, dst);
-  sim::SimTime t = sim::SimTime::zero();
-  for (const Link* l : links) t += l->idle_latency(bytes);
-  return t;
+  return fold_path(src, dst, bytes, false).idle_latency;
 }
 
 sim::Rate Network::path_bottleneck(NodeId src, NodeId dst) const {
-  const auto links = path_links(src, dst);
-  if (links.empty()) return sim::Rate::bps(0);
-  sim::Rate r = sim::Rate::gbps(1e9);
-  for (const Link* l : links) r = std::min(r, l->config().bandwidth);
-  return r;
+  return fold_path(src, dst, 0, false).bottleneck;
 }
 
 double Network::path_congestion(NodeId src, NodeId dst) const {
-  const auto links = path_links(src, dst);
-  double c = 0.0;
-  for (const Link* l : links) c = std::max(c, l->queue_utilization());
-  return c;
+  return fold_path(src, dst, 0, false).congestion;
 }
 
 double Network::path_bit_error_rate(NodeId src, NodeId dst) const {
-  const auto links = path_links(src, dst);
-  double b = 0.0;
-  for (const Link* l : links) b = std::max(b, l->worst_case_ber());
-  return b;
+  return fold_path(src, dst, 0, false).bit_error_rate;
 }
 
 }  // namespace adaptive::net

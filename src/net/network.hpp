@@ -1,9 +1,11 @@
 // The Network: topology container, route manager, and injection point.
 //
-// Owns every node and link, computes unicast routes and per-source
-// multicast trees, reinstalls forwarding state when topology or membership
-// changes, and exposes the path queries (MTU, idle latency, hop list) that
-// MANTTS Stage II consults when turning a TSC into an SCS.
+// Owns every node and link, keeps one RouteTable (unicast first hops and
+// per-source multicast trees) that hosts and switches forward from,
+// recomputes it when topology or membership changes — once per batch of
+// changes inside a RouteBatch — and exposes the path queries (MTU, idle
+// latency, hop list) that MANTTS Stage II consults when turning a TSC
+// into an SCS.
 #pragma once
 
 #include "net/link.hpp"
@@ -20,9 +22,39 @@
 
 namespace adaptive::net {
 
+/// What MANTTS Stage II reads off one src -> dst path, gathered in one
+/// walk: path() and the path_* values of the same pair.
+struct PathSample {
+  std::vector<NodeId> nodes;  ///< path(src, dst); empty if unreachable
+  std::size_t mtu = 0;
+  sim::SimTime idle_latency = sim::SimTime::zero();
+  sim::Rate bottleneck = sim::Rate::bps(0);
+  double bit_error_rate = 0.0;
+  double congestion = 0.0;
+};
+
 class Network {
 public:
   Network(sim::EventScheduler& sched, std::uint64_t seed = 1);
+  Network(const Network&) = delete;  // switches and links point back into it
+  Network& operator=(const Network&) = delete;
+
+  /// Defers route computation while alive: connect, link up/down and
+  /// group join/leave inside a batch mark routes stale, and the outermost
+  /// batch recomputes once when it closes if anything changed. Batches
+  /// nest. Outside any batch those calls recompute at once.
+  class RouteBatch {
+  public:
+    explicit RouteBatch(Network& net) : net_(net) { ++net_.batch_depth_; }
+    ~RouteBatch() {
+      if (--net_.batch_depth_ == 0 && net_.routes_stale_) net_.recompute_routes();
+    }
+    RouteBatch(const RouteBatch&) = delete;
+    RouteBatch& operator=(const RouteBatch&) = delete;
+
+  private:
+    Network& net_;
+  };
 
   // --- topology construction -------------------------------------------
   NodeId add_host(std::string name);
@@ -32,8 +64,9 @@ public:
   /// config). Returns (a->b, b->a) link ids.
   std::pair<LinkId, LinkId> connect(NodeId a, NodeId b, const LinkConfig& cfg);
 
-  /// Install forwarding state everywhere. Called automatically by
-  /// connect/join/leave/fail; call manually after batch edits.
+  /// Recompute every route now. connect/join/leave/set_link_pair_up call
+  /// it (at the close of a RouteBatch when inside one); nodes added by
+  /// add_host/add_switch get routes at the next computation.
   void recompute_routes();
 
   // --- dynamic behaviour -------------------------------------------------
@@ -77,6 +110,12 @@ public:
   /// Idle one-way latency of a `bytes`-sized packet along the path.
   [[nodiscard]] sim::SimTime path_idle_latency(NodeId src, NodeId dst, std::size_t bytes) const;
 
+  /// path() and every path_* value of src -> dst from one walk.
+  [[nodiscard]] PathSample sample_path(NodeId src, NodeId dst, std::size_t bytes) const;
+
+  /// The forwarding state of the last route computation.
+  [[nodiscard]] const RouteTable& routes() const { return routes_; }
+
   /// Bottleneck (minimum) bandwidth along the path.
   [[nodiscard]] sim::Rate path_bottleneck(NodeId src, NodeId dst) const;
 
@@ -93,22 +132,23 @@ public:
   [[nodiscard]] sim::EventScheduler& scheduler() { return sched_; }
 
 private:
-  [[nodiscard]] std::vector<Link*> path_links(NodeId src, NodeId dst) const;
-  void install_unicast_routes();
-  void install_multicast_routes();
+  /// Recompute now, or at the close of the open batch.
+  void routes_changed();
+  [[nodiscard]] PathSample fold_path(NodeId src, NodeId dst, std::size_t bytes,
+                                     bool with_nodes) const;
 
   sim::EventScheduler& sched_;
   sim::Rng rng_;
   NetworkMonitor monitor_;
   std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<bool> is_host_;  ///< by node id
   std::vector<std::unique_ptr<Link>> links_;
   Adjacency adjacency_;
   MulticastGroups groups_;
   NodeId broadcast_group_ = 0;
-  // Source-host forwarding state: unicast first-hop per (src, dst) is
-  // resolved through per-node SPF snapshots.
-  std::map<NodeId, SpfResult> spf_;                            // per source host
-  std::map<std::pair<NodeId, NodeId>, std::vector<Link*>> host_mcast_;  // (group, src) -> first hops
+  RouteTable routes_;
+  int batch_depth_ = 0;
+  bool routes_stale_ = false;
   std::uint64_t next_packet_id_ = 1;
 };
 

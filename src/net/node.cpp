@@ -14,26 +14,25 @@ void SwitchNode::receive(Packet&& p) {
 
 void SwitchNode::forward(Packet&& p) {
   if (is_multicast(p.dst.node)) {
-    auto it = multicast_.find({p.dst.node, p.src.node});
-    if (it == multicast_.end() || it->second.empty()) {
+    const auto outs = routes_.multicast_outs(p.dst.node, p.src.node, id());
+    if (outs.empty()) {
       ++no_route_drops_;
       return;
     }
     ++forwarded_;
-    const auto& outs = it->second;
     for (std::size_t i = 0; i + 1 < outs.size(); ++i) {
       outs[i]->transmit(Packet(p));  // replicate
     }
     outs.back()->transmit(std::move(p));
     return;
   }
-  auto it = unicast_.find(p.dst.node);
-  if (it == unicast_.end() || it->second == nullptr) {
+  Link* out = routes_.first_hop(id(), p.dst.node);
+  if (out == nullptr) {
     ++no_route_drops_;
     return;
   }
   ++forwarded_;
-  it->second->transmit(std::move(p));
+  out->transmit(std::move(p));
 }
 
 }  // namespace adaptive::net

@@ -4,13 +4,12 @@
 
 #include "net/link.hpp"
 #include "net/packet.hpp"
+#include "net/routing.hpp"
 #include "sim/event_scheduler.hpp"
 #include "sim/time.hpp"
 
 #include <functional>
-#include <map>
 #include <string>
-#include <vector>
 
 namespace adaptive::net {
 
@@ -53,23 +52,16 @@ struct SwitchConfig {
   sim::SimTime processing_delay = sim::SimTime::microseconds(2);
 };
 
-/// Intermediate switching node with unicast and per-(group, source)
-/// multicast forwarding state installed by the Network's route computation.
+/// Intermediate switching node: forwards from the Network's route table,
+/// the first-hop entry for unicast and the (group, source) out-list for
+/// multicast.
 class SwitchNode final : public Node {
 public:
-  SwitchNode(NodeId id, std::string name, const SwitchConfig& cfg, sim::EventScheduler& sched)
-      : Node(id, std::move(name)), cfg_(cfg), sched_(sched) {}
+  SwitchNode(NodeId id, std::string name, const SwitchConfig& cfg, sim::EventScheduler& sched,
+             const RouteTable& routes)
+      : Node(id, std::move(name)), cfg_(cfg), sched_(sched), routes_(routes) {}
 
   void receive(Packet&& p) override;
-
-  void clear_routes() {
-    unicast_.clear();
-    multicast_.clear();
-  }
-  void set_unicast_route(NodeId dst, Link* out) { unicast_[dst] = out; }
-  void set_multicast_routes(NodeId group, NodeId src, std::vector<Link*> outs) {
-    multicast_[{group, src}] = std::move(outs);
-  }
 
   [[nodiscard]] std::uint64_t forwarded_packets() const { return forwarded_; }
   [[nodiscard]] std::uint64_t no_route_drops() const { return no_route_drops_; }
@@ -79,8 +71,7 @@ private:
 
   SwitchConfig cfg_;
   sim::EventScheduler& sched_;
-  std::map<NodeId, Link*> unicast_;
-  std::map<std::pair<NodeId, NodeId>, std::vector<Link*>> multicast_;
+  const RouteTable& routes_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t no_route_drops_ = 0;
 };

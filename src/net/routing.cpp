@@ -1,8 +1,9 @@
 #include "net/routing.hpp"
 
 #include <algorithm>
-#include <queue>
-#include <set>
+#include <functional>
+#include <limits>
+#include <tuple>
 
 namespace adaptive::net {
 
@@ -12,90 +13,92 @@ double link_cost(const Link& l) {
          static_cast<double>(cfg.bandwidth.transmission_time(1000).ns());
 }
 
-SpfResult shortest_paths(const Adjacency& adj, NodeId src) {
-  SpfResult out;
-  using QEntry = std::pair<double, NodeId>;
-  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
-  out.dist[src] = 0.0;
-  pq.push({0.0, src});
-  std::set<NodeId> done;
-  while (!pq.empty()) {
-    auto [d, u] = pq.top();
-    pq.pop();
-    if (done.contains(u)) continue;
-    done.insert(u);
-    auto it = adj.find(u);
-    if (it == adj.end()) continue;
-    for (Link* l : it->second) {
-      if (!l->is_up()) continue;
-      const NodeId v = l->to();
-      const double nd = d + link_cost(*l);
-      auto dit = out.dist.find(v);
-      if (dit == out.dist.end() || nd < dit->second) {
-        out.dist[v] = nd;
-        out.pred_link[v] = l;
-        pq.push({nd, v});
+void RouteTable::compute(const Adjacency& adj, const std::vector<bool>& is_host,
+                         const MulticastGroups& groups) {
+  n_ = adj.size();
+  pred_.assign(n_ * n_, nullptr);
+  first_hop_.assign(n_ * n_, nullptr);
+  std::vector<double> dist;
+  std::vector<char> done;
+  std::vector<std::pair<double, NodeId>> heap;
+  for (NodeId src = 0; src < n_; ++src) {
+    Link** pred = &pred_[src * n_];
+    Link** first = &first_hop_[src * n_];
+    dist.assign(n_, std::numeric_limits<double>::infinity());
+    done.assign(n_, 0);
+    dist[src] = 0.0;
+    heap.assign(1, {0.0, src});
+    while (!heap.empty()) {
+      std::ranges::pop_heap(heap, std::greater<>{});
+      const auto [d, u] = heap.back();
+      heap.pop_back();
+      if (done[u] != 0) continue;
+      done[u] = 1;
+      for (Link* l : adj[u]) {
+        if (!l->is_up()) continue;
+        const NodeId v = l->to();
+        const double nd = d + link_cost(*l);
+        if (nd < dist[v]) {
+          dist[v] = nd;
+          pred[v] = l;
+          first[v] = u == src ? l : first[u];  // u is settled: its first hop is final
+          heap.emplace_back(nd, v);
+          std::ranges::push_heap(heap, std::greater<>{});
+        }
       }
     }
   }
-  return out;
-}
 
-std::vector<NodeId> extract_path(const SpfResult& spf, NodeId src, NodeId dst) {
-  std::vector<NodeId> path;
-  NodeId cur = dst;
-  while (cur != src) {
-    auto it = spf.pred_link.find(cur);
-    if (it == spf.pred_link.end()) return {};
-    path.push_back(cur);
-    cur = it->second->from();
-  }
-  path.push_back(src);
-  std::ranges::reverse(path);
-  return path;
-}
-
-std::vector<Link*> extract_path_links(const SpfResult& spf, NodeId src, NodeId dst) {
+  // Each (group, source host) tree is the union of the member paths,
+  // climbed from each member until it meets the source or a node already
+  // in the tree. Out-lists are grouped by the node that replicates onto
+  // them, in link-id order: fan-out order is a pure function of the
+  // topology. Only the source and switches forward; a host the tree
+  // crosses keeps the packet.
+  mcast_.clear();
+  mcast_links_.clear();
+  std::vector<std::uint32_t> in_tree(n_, 0);
+  std::uint32_t tree = 0;
   std::vector<Link*> links;
-  NodeId cur = dst;
-  while (cur != src) {
-    auto it = spf.pred_link.find(cur);
-    if (it == spf.pred_link.end()) return {};
-    links.push_back(it->second);
-    cur = it->second->from();
-  }
-  std::ranges::reverse(links);
-  return links;
-}
-
-std::map<NodeId, std::vector<Link*>> multicast_tree(const Adjacency& adj, NodeId src,
-                                                    const std::vector<NodeId>& members) {
-  const SpfResult spf = shortest_paths(adj, src);
-  std::map<NodeId, std::set<Link*>> tree;
-  for (NodeId m : members) {
-    if (m == src) continue;
-    NodeId cur = m;
-    while (cur != src) {
-      auto it = spf.pred_link.find(cur);
-      if (it == spf.pred_link.end()) break;  // unreachable member
-      Link* l = it->second;
-      // Stop climbing once this edge is already in the tree (shared prefix).
-      const bool inserted = tree[l->from()].insert(l).second;
-      cur = l->from();
-      if (!inserted) break;
+  for (const NodeId group : groups.groups()) {
+    const auto& members = groups.members(group);
+    for (NodeId src = 0; src < n_; ++src) {
+      if (!is_host[src]) continue;
+      Link* const* pred = &pred_[src * n_];
+      ++tree;
+      links.clear();
+      for (const NodeId m : members) {
+        if (m == src || m >= n_) continue;
+        for (NodeId cur = m; cur != src && in_tree[cur] != tree;) {
+          Link* l = pred[cur];
+          if (l == nullptr) break;  // unreachable member
+          in_tree[cur] = tree;
+          links.push_back(l);
+          cur = l->from();
+        }
+      }
+      std::ranges::sort(links, {}, [](const Link* l) { return std::pair(l->from(), l->id()); });
+      for (std::size_t i = 0; i < links.size();) {
+        const NodeId at = links[i]->from();
+        const auto begin = static_cast<std::uint32_t>(mcast_links_.size());
+        for (; i < links.size() && links[i]->from() == at; ++i) mcast_links_.push_back(links[i]);
+        const auto end = static_cast<std::uint32_t>(mcast_links_.size());
+        if (at == src || !is_host[at]) {
+          mcast_.push_back({group, src, at, begin, end});
+        } else {
+          mcast_links_.resize(begin);
+        }
+      }
     }
   }
-  std::map<NodeId, std::vector<Link*>> out;
-  for (auto& [node, links] : tree) {
-    std::vector<Link*> ordered(links.begin(), links.end());
-    // The set above is keyed by pointer, so its iteration order tracks
-    // heap layout. Fan-out order must be a pure function of the topology
-    // (replicated packets hit sibling links in this order, and sweep
-    // digests compare runs across thread counts) — sort by link id.
-    std::ranges::sort(ordered, {}, [](const Link* l) { return l->id(); });
-    out[node] = std::move(ordered);
-  }
-  return out;
+}
+
+std::span<Link* const> RouteTable::multicast_outs(NodeId group, NodeId src, NodeId at) const {
+  const auto key = std::tuple(group, src, at);
+  const auto it = std::ranges::lower_bound(
+      mcast_, key, {}, [](const McastEntry& e) { return std::tuple(e.group, e.src, e.at); });
+  if (it == mcast_.end() || std::tuple(it->group, it->src, it->at) != key) return {};
+  return {mcast_links_.data() + it->begin, it->end - it->begin};
 }
 
 }  // namespace adaptive::net

@@ -29,6 +29,7 @@ LinkConfig fddi_link() {
 Topology make_ethernet_lan(sim::EventScheduler& sched, std::size_t n_hosts, std::uint64_t seed) {
   Topology t;
   t.network = std::make_unique<Network>(sched, seed);
+  const Network::RouteBatch batch(*t.network);
   const NodeId sw = t.network->add_switch("lan-sw");
   t.switches.push_back(sw);
   for (std::size_t i = 0; i < n_hosts; ++i) {
@@ -43,6 +44,7 @@ Topology make_ethernet_lan(sim::EventScheduler& sched, std::size_t n_hosts, std:
 Topology make_fddi_ring(sim::EventScheduler& sched, std::size_t n_hosts, std::uint64_t seed) {
   Topology t;
   t.network = std::make_unique<Network>(sched, seed);
+  const Network::RouteBatch batch(*t.network);
   for (std::size_t i = 0; i < n_hosts; ++i) {
     t.switches.push_back(t.network->add_switch("ring-sw" + std::to_string(i)));
   }
@@ -63,6 +65,7 @@ Topology make_congested_wan(sim::EventScheduler& sched, std::size_t hosts_per_si
                             std::uint64_t seed) {
   Topology t;
   t.network = std::make_unique<Network>(sched, seed);
+  const Network::RouteBatch batch(*t.network);
   const NodeId sw_a = t.network->add_switch("edge-a");
   const NodeId sw_b = t.network->add_switch("edge-b");
   t.switches = {sw_a, sw_b};
@@ -91,6 +94,7 @@ Topology make_atm_wan(sim::EventScheduler& sched, std::size_t hosts_per_side, st
                       sim::Rate backbone_rate) {
   Topology t;
   t.network = std::make_unique<Network>(sched, seed);
+  const Network::RouteBatch batch(*t.network);
   const NodeId sw_a = t.network->add_switch("atm-a");
   const NodeId sw_b = t.network->add_switch("atm-b");
   t.switches = {sw_a, sw_b};
@@ -123,6 +127,7 @@ Topology make_atm_wan(sim::EventScheduler& sched, std::size_t hosts_per_side, st
 Topology make_dual_path_wan(sim::EventScheduler& sched, std::uint64_t seed) {
   Topology t;
   t.network = std::make_unique<Network>(sched, seed);
+  const Network::RouteBatch batch(*t.network);
   const NodeId sw_a = t.network->add_switch("pop-a");
   const NodeId sw_b = t.network->add_switch("pop-b");
   const NodeId sat = t.network->add_switch("satellite");
@@ -161,6 +166,7 @@ Topology make_multicast_campus(sim::EventScheduler& sched, std::size_t n_hosts,
                                std::uint64_t seed) {
   Topology t;
   t.network = std::make_unique<Network>(sched, seed);
+  const Network::RouteBatch batch(*t.network);
   const NodeId root = t.network->add_switch("core");
   t.switches.push_back(root);
   const std::size_t n_edges = std::max<std::size_t>(2, (n_hosts + 3) / 4);
@@ -187,6 +193,7 @@ Topology make_mobile_wan(sim::EventScheduler& sched, std::size_t n_attachments,
                          std::size_t extra_hosts, std::uint64_t seed) {
   Topology t;
   t.network = std::make_unique<Network>(sched, seed);
+  const Network::RouteBatch batch(*t.network);
   const std::size_t n_cells = std::max<std::size_t>(2, n_attachments);
 
   const NodeId core = t.network->add_switch("core");

@@ -5,6 +5,9 @@
 //
 // BER constants follow the paper's copper-vs-fiber distinction, scaled so a
 // 1500-byte packet sees a measurable but sub-100% corruption probability.
+//
+// Each builder runs inside a Network::RouteBatch, so a built topology has
+// cost exactly one route computation.
 #pragma once
 
 #include "net/network.hpp"

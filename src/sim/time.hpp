@@ -67,10 +67,18 @@ public:
   [[nodiscard]] constexpr double bits_per_sec() const { return bps_; }
   [[nodiscard]] constexpr double mbits_per_sec() const { return bps_ / 1e6; }
 
-  /// Time to serialize `bytes` onto a channel of this rate.
+  /// Longest serialization time a rate reports: 2^53 ns, about 104 days.
+  /// A rate so low (or zero) that a packet would take longer keeps its
+  /// link busy past any run, while `now + tx` and path sums of many such
+  /// times stay far from int64 overflow.
+  static constexpr double kMaxTransmissionNs = 9007199254740992.0;
+
+  /// Time to serialize `bytes` onto a channel of this rate, saturated at
+  /// kMaxTransmissionNs (the int64 cast of a larger value is undefined).
   [[nodiscard]] constexpr SimTime transmission_time(std::size_t bytes) const {
     const double bits = static_cast<double>(bytes) * 8.0;
-    return SimTime(static_cast<std::int64_t>(bits / bps_ * 1e9));
+    const double ns = bits / bps_ * 1e9;
+    return SimTime(static_cast<std::int64_t>(ns < kMaxTransmissionNs ? ns : kMaxTransmissionNs));
   }
 
   constexpr auto operator<=>(const Rate&) const = default;

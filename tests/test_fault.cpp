@@ -480,6 +480,33 @@ TEST(QosDowngrade, LadderNeverAddsRecoveryToALightweightConfig) {
 // End-to-end: scripted faults provoke recovery with zero data loss
 // ---------------------------------------------------------------------------
 
+// A bandwidth cut so deep that one packet's serialization time is past
+// int64 nanoseconds: the rate saturates, the backbone stays busy past the
+// run, and the run ends normally instead of scheduling into the past
+// (the int64 cast of ~5e306 ns was undefined; on x86 it gave INT64_MIN).
+TEST(FaultScenario, VanishingBandwidthKeepsTheLinkBusyInsteadOfCrashing) {
+  World world([](sim::EventScheduler& s) { return net::make_congested_wan(s, 2, 1); });
+  RunOptions opt;
+  opt.application = app::Table1App::kVoice;
+  opt.mode = RunOptions::Mode::kMantttsAdaptive;
+  opt.rules = mantts::PolicyEngine::fault_recovery_rules();
+  opt.faults = sim::parse_fault_plan("bw@1+1:link=0,factor=1e-300");
+  opt.duration = sim::SimTime::seconds(3);
+  opt.drain = sim::SimTime::seconds(1);
+  const auto out = run_scenario(world, opt);
+  EXPECT_EQ(out.fault.episodes_started, 1u);
+  EXPECT_EQ(out.fault.episodes_ended, 1u);
+  EXPECT_GT(out.sink.units_received, 0u);  // the first second got through
+
+  const auto ceiling = static_cast<std::int64_t>(sim::Rate::kMaxTransmissionNs);
+  EXPECT_EQ(sim::Rate::bps(1.5e6 * 1e-300).transmission_time(1000).ns(), ceiling);
+  EXPECT_EQ(sim::Rate::bps(0).transmission_time(1000).ns(), ceiling);
+  EXPECT_EQ(sim::Rate::bps(0).transmission_time(0).ns(), ceiling);  // 0/0
+  // In-range results are the plain truncated quotient, as before.
+  EXPECT_EQ(sim::Rate::mbps(10).transmission_time(1000), sim::SimTime::microseconds(800));
+  EXPECT_EQ(sim::Rate::mbps(1.5).transmission_time(1028).ns(), 5482666);
+}
+
 TEST(FaultScenario, FlapAndBurstProvokeRecoveryWithZeroDataLoss) {
   World world([](sim::EventScheduler& s) { return net::make_congested_wan(s, 2, 11); });
 

@@ -1,14 +1,28 @@
 // Unit and integration tests for the network simulator: links, switches,
-// routing, multicast, failures, monitoring, and background traffic.
+// routing, multicast, failures, monitoring, and background traffic. The
+// route tests compare the dense RouteTable against the map-based route
+// computation it replaced, kept here as the reference.
+#include "adaptive/scenario.hpp"
+#include "adaptive/world.hpp"
 #include "net/background_traffic.hpp"
+#include "net/fault_injector.hpp"
 #include "net/network.hpp"
 #include "net/routing.hpp"
 #include "net/topologies.hpp"
 #include "sim/event_scheduler.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/random.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <queue>
+#include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 namespace adaptive::net {
@@ -512,6 +526,495 @@ TEST(Topologies, CongestionSignalVisibleOnPath) {
   for (int i = 0; i < 60; ++i) net.inject(make_packet({topo.hosts[0], 1}, {topo.hosts[1], 2}, 1000));
   EXPECT_GT(net.path_congestion(topo.hosts[0], topo.hosts[1]), 0.5);
   sched.run();
+}
+
+// ---------------------------------------------------------------------------
+// Route computation: the dense RouteTable against the map-based reference
+// ---------------------------------------------------------------------------
+
+namespace ref {
+
+// The map-based route computation the Network used before RouteTable:
+// one std::map Dijkstra per node and one more per multicast tree. Kept
+// verbatim as the reference every forwarding decision and path value is
+// compared against, ties included.
+
+using Adjacency = std::map<NodeId, std::vector<Link*>>;
+
+struct SpfResult {
+  std::map<NodeId, Link*> pred_link;
+  std::map<NodeId, double> dist;
+};
+
+SpfResult shortest_paths(const Adjacency& adj, NodeId src) {
+  SpfResult out;
+  using QEntry = std::pair<double, NodeId>;
+  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
+  out.dist[src] = 0.0;
+  pq.push({0.0, src});
+  std::set<NodeId> done;
+  while (!pq.empty()) {
+    auto [d, u] = pq.top();
+    pq.pop();
+    if (done.contains(u)) continue;
+    done.insert(u);
+    auto it = adj.find(u);
+    if (it == adj.end()) continue;
+    for (Link* l : it->second) {
+      if (!l->is_up()) continue;
+      const NodeId v = l->to();
+      const double nd = d + link_cost(*l);
+      auto dit = out.dist.find(v);
+      if (dit == out.dist.end() || nd < dit->second) {
+        out.dist[v] = nd;
+        out.pred_link[v] = l;
+        pq.push({nd, v});
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<NodeId> extract_path(const SpfResult& spf, NodeId src, NodeId dst) {
+  std::vector<NodeId> path;
+  NodeId cur = dst;
+  while (cur != src) {
+    auto it = spf.pred_link.find(cur);
+    if (it == spf.pred_link.end()) return {};
+    path.push_back(cur);
+    cur = it->second->from();
+  }
+  path.push_back(src);
+  std::ranges::reverse(path);
+  return path;
+}
+
+std::vector<Link*> extract_path_links(const SpfResult& spf, NodeId src, NodeId dst) {
+  std::vector<Link*> links;
+  NodeId cur = dst;
+  while (cur != src) {
+    auto it = spf.pred_link.find(cur);
+    if (it == spf.pred_link.end()) return {};
+    links.push_back(it->second);
+    cur = it->second->from();
+  }
+  std::ranges::reverse(links);
+  return links;
+}
+
+std::map<NodeId, std::vector<Link*>> multicast_tree(const Adjacency& adj, NodeId src,
+                                                    const std::vector<NodeId>& members) {
+  const SpfResult spf = shortest_paths(adj, src);
+  std::map<NodeId, std::set<Link*>> tree;
+  for (NodeId m : members) {
+    if (m == src) continue;
+    NodeId cur = m;
+    while (cur != src) {
+      auto it = spf.pred_link.find(cur);
+      if (it == spf.pred_link.end()) break;  // unreachable member
+      Link* l = it->second;
+      const bool inserted = tree[l->from()].insert(l).second;
+      cur = l->from();
+      if (!inserted) break;
+    }
+  }
+  std::map<NodeId, std::vector<Link*>> out;
+  for (auto& [node, links] : tree) {
+    std::vector<Link*> ordered(links.begin(), links.end());
+    std::ranges::sort(ordered, {}, [](const Link* l) { return l->id(); });
+    out[node] = std::move(ordered);
+  }
+  return out;
+}
+
+/// What the map-based Network installed at one route computation: an SPF
+/// per node (hosts inject and switches forward on its first link) and
+/// the multicast out-lists of each (group, source host) tree at the
+/// source and at every switch.
+struct Routes {
+  std::size_t nodes = 0;
+  std::vector<std::vector<Link*>> links;  ///< [u * nodes + d]: the u -> d path
+  std::vector<std::vector<NodeId>> paths;
+  std::map<std::tuple<NodeId, NodeId, NodeId>, std::vector<Link*>> mcast;  ///< (group, src, at)
+};
+
+Routes compute(Network& net, const std::vector<bool>& is_host, const std::vector<NodeId>& groups) {
+  Routes r;
+  r.nodes = is_host.size();
+  Adjacency adj;
+  for (NodeId id = 0; id < r.nodes; ++id) adj[id];
+  for (LinkId id = 0; id < net.link_count(); ++id) {
+    adj[net.link(id).from()].push_back(&net.link(id));
+  }
+  r.links.resize(r.nodes * r.nodes);
+  r.paths.resize(r.nodes * r.nodes);
+  for (NodeId u = 0; u < r.nodes; ++u) {
+    const SpfResult spf = shortest_paths(adj, u);
+    for (NodeId d = 0; d < r.nodes; ++d) {
+      r.links[u * r.nodes + d] = extract_path_links(spf, u, d);
+      r.paths[u * r.nodes + d] = extract_path(spf, u, d);
+    }
+  }
+  for (const NodeId group : groups) {
+    const auto& members = net.group_members(group);
+    for (NodeId src = 0; src < r.nodes; ++src) {
+      if (!is_host[src]) continue;
+      std::vector<NodeId> others;
+      for (const NodeId m : members) {
+        if (m != src) others.push_back(m);
+      }
+      if (others.empty()) continue;
+      for (auto& [at, outs] : multicast_tree(adj, src, others)) {
+        if (at == src || !is_host[at]) r.mcast[{group, src, at}] = outs;
+      }
+    }
+  }
+  return r;
+}
+
+}  // namespace ref
+
+constexpr std::size_t kProbeBytes = 64;
+
+/// Every first hop, path(), path_* value, sample_path() and multicast
+/// out-list `net` reports equals the reference's. Node ids run one past
+/// the last node, so uncovered ids are probed too.
+void expect_same_routes(const Network& net, const ref::Routes& r,
+                        const std::vector<bool>& is_host, const std::vector<NodeId>& groups) {
+  const auto n = static_cast<NodeId>(is_host.size());
+  static const std::vector<Link*> kNoLinks;
+  static const std::vector<NodeId> kNoNodes;
+  for (NodeId u = 0; u <= n; ++u) {
+    for (NodeId d = 0; d <= n; ++d) {
+      const bool covered = u < r.nodes && d < r.nodes;
+      const auto& links = covered ? r.links[u * r.nodes + d] : kNoLinks;
+      const auto& nodes = covered ? r.paths[u * r.nodes + d] : kNoNodes;
+      ASSERT_EQ(net.routes().first_hop(u, d), links.empty() ? nullptr : links.front())
+          << u << " -> " << d;
+      ASSERT_EQ(net.path(u, d), nodes) << u << " -> " << d;
+      // The map-based Network's path_* formulas over the reference path.
+      std::size_t mtu = 0;
+      sim::SimTime latency = sim::SimTime::zero();
+      sim::Rate bottleneck = sim::Rate::bps(0);
+      double ber = 0.0;
+      double congestion = 0.0;
+      if (!links.empty()) {
+        mtu = SIZE_MAX;
+        bottleneck = sim::Rate::gbps(1e9);
+      }
+      for (const Link* l : links) {
+        mtu = std::min(mtu, l->config().mtu_bytes);
+        latency += l->idle_latency(kProbeBytes);
+        bottleneck = std::min(bottleneck, l->config().bandwidth);
+        ber = std::max(ber, l->worst_case_ber());
+        congestion = std::max(congestion, l->queue_utilization());
+      }
+      ASSERT_EQ(net.path_mtu(u, d), mtu) << u << " -> " << d;
+      ASSERT_EQ(net.path_idle_latency(u, d, kProbeBytes), latency) << u << " -> " << d;
+      ASSERT_EQ(net.path_bottleneck(u, d), bottleneck) << u << " -> " << d;
+      ASSERT_EQ(net.path_bit_error_rate(u, d), ber) << u << " -> " << d;
+      ASSERT_EQ(net.path_congestion(u, d), congestion) << u << " -> " << d;
+      const PathSample s = net.sample_path(u, d, kProbeBytes);
+      ASSERT_EQ(s.nodes, nodes) << u << " -> " << d;
+      ASSERT_EQ(s.mtu, mtu);
+      ASSERT_EQ(s.idle_latency, latency);
+      ASSERT_EQ(s.bottleneck, bottleneck);
+      ASSERT_EQ(s.bit_error_rate, ber);
+      ASSERT_EQ(s.congestion, congestion);
+    }
+  }
+  for (const NodeId g : groups) {
+    for (NodeId src = 0; src < n; ++src) {
+      if (!is_host[src]) continue;
+      for (NodeId at = 0; at <= n; ++at) {
+        const auto outs = net.routes().multicast_outs(g, src, at);
+        const auto it = r.mcast.find({g, src, at});
+        const std::vector<Link*> got(outs.begin(), outs.end());
+        ASSERT_EQ(got, it == r.mcast.end() ? kNoLinks : it->second)
+            << "group " << g << " src " << src << " at " << at;
+      }
+    }
+  }
+}
+
+/// Drives one random topology through random public calls, mirroring
+/// when the Network computes routes (eagerly outside a batch, at the
+/// outermost batch's close, on recompute_routes) and checking it against
+/// the reference after every call.
+class RandomRouteRun {
+public:
+  explicit RandomRouteRun(std::uint64_t seed) : rng_(seed), net_(sched_, seed) {}
+
+  void run() {
+    // 2..40 nodes, small ones more often: every check reads all pairs.
+    const double u = rng_.uniform();
+    const auto target = 2 + static_cast<std::size_t>(38.0 * u * u + 0.5);
+    add_node();
+    add_node();
+    const std::size_t steps = 3 * target + 12;
+    for (std::size_t step = 0; step < steps; ++step) {
+      mutate(target);
+      check();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    while (!batches_.empty()) close_batch();
+    check();
+  }
+
+private:
+  [[nodiscard]] NodeId any_node() {
+    return static_cast<NodeId>(rng_.uniform_int(0, is_host_.size() - 1));
+  }
+
+  void add_node() {
+    const bool host = rng_.bernoulli(0.5);
+    if (host) {
+      net_.add_host("h" + std::to_string(is_host_.size()));
+    } else {
+      net_.add_switch("s" + std::to_string(is_host_.size()));
+    }
+    is_host_.push_back(host);
+  }
+
+  /// A small palette of configs: parallel links and equal-cost ties are
+  /// common, and every path_* value has something to read.
+  [[nodiscard]] LinkConfig random_config() {
+    LinkConfig cfg;
+    static constexpr double kMbps[] = {10, 100, 155};
+    static constexpr std::int64_t kDelayUs[] = {5, 20, 20, 1000};
+    static constexpr std::size_t kMtu[] = {1500, 4500, 9188};
+    static constexpr double kBer[] = {0.0, 1e-9, 1e-6};
+    cfg.bandwidth = sim::Rate::mbps(kMbps[rng_.uniform_int(0, 2)]);
+    cfg.propagation_delay = sim::SimTime::microseconds(kDelayUs[rng_.uniform_int(0, 3)]);
+    cfg.mtu_bytes = kMtu[rng_.uniform_int(0, 2)];
+    cfg.bit_error_rate = kBer[rng_.uniform_int(0, 2)];
+    cfg.queue_capacity_packets = rng_.bernoulli(0.5) ? 4 : 64;
+    if (rng_.bernoulli(0.2)) {  // a bursty link: worst-case BER differs from the base
+      cfg.p_good_to_bad = 0.01;
+      cfg.burst_error_rate = 1e-4;
+    }
+    return cfg;
+  }
+
+  void routes_changed() {
+    if (batches_.empty()) {
+      computed();
+    } else {
+      stale_ = true;
+    }
+  }
+
+  void computed() {
+    expected_ = ref::compute(net_, is_host_, groups_);
+    ++computations_;
+    stale_ = false;
+  }
+
+  void close_batch() {
+    batches_.pop_back();
+    if (batches_.empty() && stale_) computed();
+  }
+
+  void mutate(std::size_t target) {
+    const double pick = rng_.uniform();
+    const std::size_t pairs = net_.link_count() / 2;
+    if (pick < 0.3 && is_host_.size() < target) {
+      add_node();  // no routes until the next computation
+    } else if (pick < 0.50) {
+      NodeId a = any_node();
+      NodeId b = any_node();
+      if (pairs > 0 && rng_.bernoulli(0.2)) {  // parallel to an existing pair
+        const Link& l = net_.link(static_cast<LinkId>(2 * rng_.uniform_int(0, pairs - 1)));
+        a = l.from();
+        b = l.to();
+      }
+      net_.connect(a, b, random_config());
+      routes_changed();
+    } else if (pick < 0.60 && pairs > 0) {
+      net_.set_link_pair_up(static_cast<LinkId>(2 * rng_.uniform_int(0, pairs - 1)),
+                            rng_.bernoulli(0.4));
+      routes_changed();
+    } else if (pick < 0.65 && pairs > 0) {
+      // A config change (as a bw/delay fault makes) moves path values but
+      // not routes: nothing recomputes.
+      Link& l = net_.link(static_cast<LinkId>(rng_.uniform_int(0, net_.link_count() - 1)));
+      l.set_config(random_config());
+    } else if (pick < 0.68) {
+      groups_.push_back(net_.create_group());
+    } else if (pick < 0.76) {
+      const NodeId g = groups_[rng_.uniform_int(0, groups_.size() - 1)];
+      // Mostly hosts; switches and a not-yet-existing id join too.
+      const NodeId who = rng_.bernoulli(0.1) ? static_cast<NodeId>(is_host_.size()) : any_node();
+      const auto& m = net_.group_members(g);
+      const bool joins = std::ranges::find(m, who) == m.end();
+      net_.join_group(g, who);
+      if (joins) routes_changed();
+    } else if (pick < 0.81) {
+      const NodeId g = groups_[rng_.uniform_int(0, groups_.size() - 1)];
+      const auto& m = net_.group_members(g);
+      const NodeId who = !m.empty() && rng_.bernoulli(0.8) ? m[rng_.uniform_int(0, m.size() - 1)]
+                                                           : any_node();
+      const bool leaves = std::ranges::find(m, who) != m.end();
+      net_.leave_group(g, who);
+      if (leaves) routes_changed();
+    } else if (pick < 0.87 && batches_.size() < 3) {
+      batches_.push_back(std::make_unique<Network::RouteBatch>(net_));
+    } else if (pick < 0.93 && !batches_.empty()) {
+      close_batch();
+    } else if (pick < 0.95) {
+      net_.recompute_routes();
+      computed();
+    } else {
+      inject();
+    }
+  }
+
+  /// Inject one packet without running the scheduler and read back which
+  /// links it was handed to: the reference first hop, or the tree's
+  /// out-list at the source.
+  void inject() {
+    const NodeId src = any_node();
+    std::vector<Link*> want;
+    NodeId dst;
+    if (is_host_[src] && rng_.bernoulli(0.4)) {
+      dst = groups_[rng_.uniform_int(0, groups_.size() - 1)];
+      const auto it = expected_.mcast.find({dst, src, src});
+      if (it != expected_.mcast.end()) want = it->second;
+    } else {
+      dst = static_cast<NodeId>(rng_.uniform_int(0, is_host_.size()));
+      if (src >= expected_.nodes) {
+        EXPECT_THROW(net_.inject(make_packet({src, 1}, {dst, 2}, kProbeBytes)), std::logic_error);
+        return;
+      }
+      if (dst < expected_.nodes && !expected_.links[src * expected_.nodes + dst].empty()) {
+        want = {expected_.links[src * expected_.nodes + dst].front()};
+      }
+    }
+    auto footprint = [](const Link& l) {
+      const auto& st = l.stats();
+      return st.tx_packets + st.queue_drops + st.mtu_drops + st.down_drops + l.queue_depth();
+    };
+    std::vector<std::uint64_t> before;
+    for (LinkId id = 0; id < net_.link_count(); ++id) before.push_back(footprint(net_.link(id)));
+    const auto drops = net_.monitor().total_drops();
+    net_.inject(make_packet({src, 1}, {dst, 2}, kProbeBytes));
+    std::vector<Link*> got;
+    for (LinkId id = 0; id < net_.link_count(); ++id) {
+      if (footprint(net_.link(id)) != before[id]) got.push_back(&net_.link(id));
+    }
+    EXPECT_EQ(got, want) << src << " -> " << dst;
+    if (want.empty()) {
+      EXPECT_EQ(net_.monitor().total_drops(), drops + 1);
+    }
+  }
+
+  void check() {
+    ASSERT_EQ(net_.monitor().route_changes(), computations_);
+    expect_same_routes(net_, expected_, is_host_, groups_);
+  }
+
+  sim::Rng rng_;
+  sim::EventScheduler sched_;
+  Network net_;
+  std::vector<bool> is_host_;
+  std::vector<NodeId> groups_{net_.broadcast_address()};
+  std::vector<std::unique_ptr<Network::RouteBatch>> batches_;
+  ref::Routes expected_;
+  std::uint64_t computations_ = 0;
+  bool stale_ = false;
+};
+
+TEST(RouteTable, MatchesTheMapBasedReferenceOnRandomTopologies) {
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    SCOPED_TRACE("topology seed " + std::to_string(seed));
+    RandomRouteRun(seed).run();
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(RouteTable, EqualCostRingDirectionsKeepTheReferencePredecessor) {
+  sim::EventScheduler sched;
+  auto ring = make_fddi_ring(sched, 6);
+  Network& net = *ring.network;
+  // Hosts 0 and 3 sit on opposite switches, so both ways round the ring
+  // cost the same. The heap settles the lower switch id first and a tie
+  // never replaces a predecessor: the route climbs through s1 and s2.
+  const std::vector<NodeId> want{ring.hosts[0],    ring.switches[0], ring.switches[1],
+                                 ring.switches[2], ring.switches[3], ring.hosts[3]};
+  EXPECT_EQ(net.path(ring.hosts[0], ring.hosts[3]), want);
+  std::vector<bool> is_host(ring.switches.size() + ring.hosts.size(), false);
+  for (const NodeId h : ring.hosts) is_host[h] = true;
+  const std::vector<NodeId> groups{net.broadcast_address()};
+  expect_same_routes(net, ref::compute(net, is_host, groups), is_host, groups);
+}
+
+TEST(RouteBatch, EveryPrebuiltTopologyCostsOneComputation) {
+  sim::EventScheduler sched;
+  auto computations = [](const Topology& t) { return t.network->monitor().route_changes(); };
+  EXPECT_EQ(computations(make_ethernet_lan(sched, 8)), 1u);
+  EXPECT_EQ(computations(make_fddi_ring(sched, 6)), 1u);
+  EXPECT_EQ(computations(make_congested_wan(sched, 3)), 1u);
+  EXPECT_EQ(computations(make_atm_wan(sched, 8)), 1u);  // one per connect would be 17
+  EXPECT_EQ(computations(make_dual_path_wan(sched)), 1u);
+  EXPECT_EQ(computations(make_multicast_campus(sched, 8)), 1u);
+  EXPECT_EQ(computations(make_mobile_wan(sched, 4, 3)), 1u);
+}
+
+TEST(RouteBatch, NestedBatchesComputeOnceAtTheOutermostClose) {
+  sim::EventScheduler sched;
+  Network net(sched, 1);
+  const NodeId a = net.add_host("a");
+  const NodeId b = net.add_host("b");
+  const NodeId sw = net.add_switch("sw");
+  {
+    const Network::RouteBatch outer(net);
+    net.connect(a, sw, LinkConfig{});
+    {
+      const Network::RouteBatch inner(net);
+      net.connect(sw, b, LinkConfig{});
+    }
+    EXPECT_EQ(net.monitor().route_changes(), 0u);
+    EXPECT_TRUE(net.path(a, b).empty());  // stale until the batch closes
+  }
+  EXPECT_EQ(net.monitor().route_changes(), 1u);
+  EXPECT_EQ(net.path(a, b), (std::vector<NodeId>{a, sw, b}));
+  { const Network::RouteBatch idle(net); }  // nothing changed: no computation
+  EXPECT_EQ(net.monitor().route_changes(), 1u);
+  net.set_link_pair_up(0, false);  // outside a batch: eager, as before
+  EXPECT_EQ(net.monitor().route_changes(), 2u);
+  EXPECT_TRUE(net.path(a, b).empty());
+}
+
+TEST(RouteBatch, PartitionOfAHostCostsOneComputationEachWay) {
+  sim::EventScheduler sched;
+  auto topo = make_mobile_wan(sched, 4, 0);  // the mobile host has 4 link pairs
+  Network& net = *topo.network;
+  const NodeId mob = topo.hosts[topo.mobile_host];
+  const NodeId cn = topo.hosts[1];
+  FaultInjector injector(net, topo.scenario_links, topo.hosts);
+  injector.arm(sim::parse_fault_plan("partition@1+1:node=0"));
+  const auto built = net.monitor().route_changes();
+  ASSERT_FALSE(net.path(mob, cn).empty());
+  sched.run_until(sim::SimTime::seconds(1.5));
+  EXPECT_EQ(net.monitor().route_changes(), built + 1);  // one per link pair would add 4
+  EXPECT_TRUE(net.path(mob, cn).empty());
+  sched.run_until(sim::SimTime::seconds(3));
+  EXPECT_EQ(net.monitor().route_changes(), built + 2);
+  EXPECT_FALSE(net.path(mob, cn).empty());
+}
+
+TEST(RouteBatch, TeleconferenceSetUpJoinsSevenMembersInOneComputation) {
+  World world([](sim::EventScheduler& s) { return make_multicast_campus(s, 8, 3); });
+  const auto built = world.network().monitor().route_changes();
+  EXPECT_EQ(built, 1u);
+  RunOptions opt;
+  opt.application = app::Table1App::kTeleconference;
+  opt.multicast_members = {1, 2, 3, 4, 5, 6, 7};
+  opt.duration = sim::SimTime::seconds(0.5);
+  opt.drain = sim::SimTime::seconds(0.5);
+  const auto out = run_scenario(world, opt);
+  EXPECT_EQ(out.receivers, 7u);
+  EXPECT_EQ(world.network().monitor().route_changes(), built + 1);  // one per join would add 7
 }
 
 }  // namespace
