@@ -252,21 +252,20 @@ CityOutcome run_city(World& world, const CityOptions& opt) {
 ShardFold<CityOutcome> run_city_sweep(const CityOptions& base,
                                       const std::vector<std::uint64_t>& seeds,
                                       std::size_t jobs, bool capture_trace) {
-  return fold_shards<CityOutcome>(
-      seeds, jobs, capture_trace, unites::TraceRecorder::kDefaultCapacity,
-      [&](std::uint64_t seed, const unites::TraceRecorder& ring, ShardYield& yield) {
-        World world([seed](sim::EventScheduler& s) { return net::make_ethernet_lan(s, 8, seed); },
-                    os::CpuConfig{}, city_limits(base));
-        CityOptions opt = base;
-        opt.seed = seed;
-        CityOutcome outcome = run_city(world, opt);
-        yield.repo = std::move(world.repository());
-        if (capture_trace) {
-          yield.trace = ring.snapshot();
-          yield.trace_emitted = ring.emitted();
-        }
-        return outcome;
-      });
+  return fold_shards<CityOutcome>(seeds, jobs, [&](std::uint64_t seed, ShardYield& yield) {
+    World world([seed](sim::EventScheduler& s) { return net::make_ethernet_lan(s, 8, seed); },
+                os::CpuConfig{}, city_limits(base));
+    if (capture_trace) world.trace().enable();
+    CityOptions opt = base;
+    opt.seed = seed;
+    CityOutcome outcome = run_city(world, opt);
+    yield.repo = std::move(world.repository());
+    if (capture_trace) {
+      yield.trace = world.trace().snapshot();
+      yield.trace_emitted = world.trace().emitted();
+    }
+    return outcome;
+  });
 }
 
 }  // namespace adaptive

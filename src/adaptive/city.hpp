@@ -11,9 +11,9 @@
 // session-plane trajectory scalars bench_city gates on.
 //
 // run_city_sweep shards the same driver over seeds through run_sweep's
-// fold (fold_shards): per-seed Worlds that share nothing, shard-local
-// trace rings, and a canonical ascending-seed fold, so jobs=1 and jobs=8
-// produce byte-identical merged results (DESIGN §9).
+// fold (fold_shards): per-seed Worlds that share nothing, each with its
+// own trace ring, and a canonical ascending-seed fold, so jobs=1 and
+// jobs=8 produce byte-identical merged results (DESIGN §9).
 #pragma once
 
 #include "adaptive/sweep.hpp"
@@ -108,8 +108,8 @@ struct CityOutcome {
 
 /// Run the city driver once per seed, each on its own 8-host ethernet LAN
 /// seeded by that seed, through fold_shards: results are independent of
-/// `jobs` (same fold contract as run_sweep). `capture_trace` records and
-/// merges each shard's trace ring.
+/// `jobs` (same fold contract as run_sweep). `capture_trace` enables each
+/// shard World's trace ring at the default capacity and merges them.
 [[nodiscard]] ShardFold<CityOutcome> run_city_sweep(const CityOptions& base,
                                                     const std::vector<std::uint64_t>& seeds,
                                                     std::size_t jobs, bool capture_trace);

@@ -147,7 +147,6 @@ std::vector<std::uint64_t> sweep_seeds(std::vector<std::uint64_t> seeds, std::si
 sim::ChaosProfile size_chaos_profile(sim::ChaosProfile base, const World& world,
                                      const RunOptions& opt, std::size_t max_faults) {
   base.link_count = std::max<std::size_t>(1, world.topology().scenario_links.size());
-  base.host_count = std::max<std::size_t>(2, world.topology().hosts.size());
   base.horizon_sec = opt.duration.sec();
   base.max_faults = max_faults;
   base.min_faults = std::min<std::size_t>(base.min_faults, max_faults);
@@ -156,11 +155,11 @@ sim::ChaosProfile size_chaos_profile(sim::ChaosProfile base, const World& world,
   // physically there. A fixed topology zeroes the handover plane out.
   base.attachment_count = world.topology().attachments.size();
   base.mobile_host = world.topology().mobile_host;
-  if (base.churn_host_base >= base.host_count) {
+  const std::size_t hosts = std::max<std::size_t>(2, world.topology().hosts.size());
+  if (base.churn_host_base >= hosts) {
     base.churn_host_count = 0;
   } else {
-    base.churn_host_count =
-        std::min(base.churn_host_count, base.host_count - base.churn_host_base);
+    base.churn_host_count = std::min(base.churn_host_count, hosts - base.churn_host_base);
   }
   return base;
 }
@@ -174,18 +173,18 @@ SweepResult run_sweep(const SweepConfig& cfg) {
   const bool want_trace = cfg.capture_trace || cfg.capture_spans || flight_armed;
   const bool want_profile = cfg.capture_profile || flight_armed;
 
-  // One scenario shard; fold_shards owns its trace ring.
-  const auto shard = [&](std::uint64_t seed, const unites::TraceRecorder& ring,
-                         ShardYield& yield) {
+  const auto shard = [&](std::uint64_t seed, ShardYield& yield) {
     ScenarioShard unit;
 
-    // Shard-local profiler, same isolation rule as the trace ring. The
+    // Shard-local profiler, installed as the thread's current one. The
     // World binds its scheduler as the virtual clock on construction.
     unites::Profiler profiler;
     if (want_profile) profiler.enable();
     unites::ScopedProfiler scoped_prof(profiler);
 
     World world(cfg.topology(seed));
+    unites::TraceRecorder& ring = world.trace();
+    if (want_trace) ring.enable(cfg.trace_capacity);
     RunOptions opt = cfg.base;
     opt.seed = seed;
     if (cfg.capture_timeline) opt.timeline_period = cfg.timeline_period;
@@ -302,8 +301,8 @@ SweepResult run_sweep(const SweepConfig& cfg) {
     if (cfg.capture_spans) yield.spans = std::move(spans);
     return unit;
   };
-  auto fold = fold_shards<ScenarioShard>(sweep_seeds(cfg.seeds, cfg.count, cfg.base_seed),
-                                         cfg.jobs, want_trace, cfg.trace_capacity, shard);
+  auto fold =
+      fold_shards<ScenarioShard>(sweep_seeds(cfg.seeds, cfg.count, cfg.base_seed), cfg.jobs, shard);
 
   SweepResult out;
   out.merged = std::move(fold.merged);

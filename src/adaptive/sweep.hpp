@@ -2,14 +2,14 @@
 // with results that are byte-identical to a serial run.
 //
 // Each seed gets its own shard: a private World (its own scheduler,
-// topology, hosts, metric repository) plus a shard-local UNITES trace ring
-// installed for the duration of the run, so shards share *nothing*
-// mutable. The merge step then folds per-shard repositories, trace
-// buffers, and run records in ascending seed-index order — a fixed
+// topology, hosts, metric repository and trace ring), so shards share
+// *nothing* mutable. The merge step then folds per-shard repositories,
+// trace buffers, and run records in ascending seed-index order — a fixed
 // canonical order — so the merged report does not depend on which thread
 // finished first or how many threads ran (DESIGN.md §9). fold_shards is
 // that machinery; run_sweep (scenarios) and run_city_sweep (city.hpp) are
-// two shard bodies over it.
+// two shard bodies over it. A body that wants a trace enables its World's
+// ring and yields a snapshot of it.
 #pragma once
 
 #include "adaptive/scenario.hpp"
@@ -45,7 +45,8 @@ struct SweepConfig {
   /// Worker threads (1 = serial).
   std::size_t jobs = 1;
 
-  /// Record each shard's UNITES trace ring and merge the streams.
+  /// Record each shard World's UNITES trace ring (at `trace_capacity`
+  /// events) and merge the streams.
   bool capture_trace = false;
   std::size_t trace_capacity = unites::TraceRecorder::kDefaultCapacity;
 
@@ -202,26 +203,18 @@ struct ShardFold {
   std::vector<Run> runs;                   ///< seed order
 };
 
-/// Run `body(seed, ring, yield) -> Run` once per seed on a sim::ShardRunner
+/// Run `body(seed, yield) -> Run` once per seed on a sim::ShardRunner
 /// pool of `jobs` workers, then fold the yields and run records in
 /// ascending seed order (each shard's buffers are appended once into
-/// presized results). `ring` is the shard's own trace recorder,
-/// installed as the thread's current recorder for the body's whole
-/// lifetime (so world construction is on the timeline) and enabled at
-/// `capacity` when `record_trace`. The result is independent of `jobs`.
+/// presized results). The result is independent of `jobs`.
 template <typename Run, typename Body>
 [[nodiscard]] ShardFold<Run> fold_shards(const std::vector<std::uint64_t>& seeds,
-                                         std::size_t jobs, bool record_trace,
-                                         std::size_t capacity, Body&& body) {
+                                         std::size_t jobs, Body&& body) {
   ShardFold<Run> out;
   out.runs.resize(seeds.size());
   std::vector<ShardYield> yields(seeds.size());
-  sim::ShardRunner(jobs).run(seeds.size(), [&](std::size_t i) {
-    unites::TraceRecorder ring;
-    if (record_trace) ring.enable(capacity);
-    unites::ScopedTraceRecorder scoped(ring);
-    out.runs[i] = body(seeds[i], ring, yields[i]);
-  });
+  sim::ShardRunner(jobs).run(seeds.size(),
+                             [&](std::size_t i) { out.runs[i] = body(seeds[i], yields[i]); });
   std::size_t events = 0;
   std::size_t span_count = 0;
   for (const auto& y : yields) {

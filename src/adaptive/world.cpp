@@ -19,6 +19,7 @@ World::World(const TopologyFactory& make_topology, const os::CpuConfig& cpu,
     entities_.back()->set_conformance(&conformance_);
   }
   conformance_.set_repository(&repo_);
+  conformance_.set_trace(&trace());
 }
 
 unites::ResourceSnapshot World::resource_snapshot() const {

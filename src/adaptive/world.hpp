@@ -2,7 +2,8 @@
 // downstream user starts from (see examples/quickstart.cpp).
 //
 // Owns the event scheduler, a topology, and per-host OS substrate +
-// AdaptiveTransport + MANTTS entity, plus a shared UNITES repository.
+// AdaptiveTransport + MANTTS entity, plus a shared UNITES repository. Its
+// trace ring is the network's: every emitter in the World records there.
 #pragma once
 
 #include "mantts/mantts.hpp"
@@ -34,6 +35,10 @@ public:
   [[nodiscard]] net::Network& network() { return *topo_.network; }
   [[nodiscard]] const net::Topology& topology() const { return topo_; }
   [[nodiscard]] unites::MetricRepository& repository() { return repo_; }
+  /// The World's UNITES trace ring (owned by its network). Disabled until
+  /// trace().enable(); World construction records nothing, so enabling it
+  /// right after construction misses no event.
+  [[nodiscard]] unites::TraceRecorder& trace() { return topo_.network->trace(); }
   /// The deployment's QoS-conformance plane (DESIGN §16): one monitor
   /// shared by every MANTTS entity (session ids are globally unique), fed
   /// by the scenario's delivery taps, repository-wired for qos.* metrics.

@@ -1,7 +1,6 @@
 #include "app/application.hpp"
 
 #include "unites/profiler.hpp"
-#include "unites/trace.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -81,8 +80,8 @@ void SourceApp::emit_next() {
     if (session_.send(std::move(msg))) {
       ++stats_.units_sent;
       stats_.bytes_sent += payload_bytes;
-      unites::trace().instant(unites::TraceCategory::kApp, "app.submit", timers_.now(), 0, h.id,
-                              static_cast<double>(payload_bytes));
+      session_.trace_ring().instant(unites::TraceCategory::kApp, "app.submit", timers_.now(), 0,
+                                    h.id, static_cast<double>(payload_bytes));
       if (on_send_) on_send_(timers_.now(), h.id, payload_bytes);
     } else {
       ++stats_.send_rejected;
@@ -106,12 +105,6 @@ double SinkStats::mean_latency_sec() const {
   return s / static_cast<double>(latencies_sec.size());
 }
 
-double SinkStats::max_latency_sec() const {
-  double m = 0.0;
-  for (const double v : latencies_sec) m = std::max(m, v);
-  return m;
-}
-
 double SinkStats::jitter_sec() const {
   if (latencies_sec.size() < 2) return 0.0;
   const double mean = mean_latency_sec();
@@ -127,6 +120,7 @@ double SinkStats::throughput_bps() const {
 }
 
 void SinkApp::attach(tko::Session& session) {
+  trace_ = &session.trace_ring();
   session.set_deliver([this](tko::Message&& m) { on_message(std::move(m)); });
 }
 
@@ -171,8 +165,10 @@ void SinkApp::on_message(tko::Message&& m) {
   last_id_ = h.id;
   const sim::SimTime latency = now - sim::SimTime(h.sent_at_ns);
   stats_.latencies_sec.push_back(latency.sec());
-  unites::trace().instant(unites::TraceCategory::kApp, "app.deliver", now, 0, h.id,
-                          static_cast<double>(latency.ns()));
+  if (trace_ != nullptr) {
+    trace_->instant(unites::TraceCategory::kApp, "app.deliver", now, 0, h.id,
+                    static_cast<double>(latency.ns()));
+  }
   if (on_latency_) on_latency_(now, static_cast<double>(latency.ns()));
   if (on_delivery_) {
     DeliveryEvent ev;

@@ -11,6 +11,7 @@
 #include "tko/event.hpp"
 #include "tko/session.hpp"
 #include "os/timer_facility.hpp"
+#include "unites/trace.hpp"
 
 #include <cstdint>
 #include <functional>
@@ -88,7 +89,6 @@ struct SinkStats {
     return highest_id > units_received ? highest_id - units_received : 0;
   }
   [[nodiscard]] double mean_latency_sec() const;
-  [[nodiscard]] double max_latency_sec() const;
   /// Jitter per the paper's definition: stddev of the delay samples.
   [[nodiscard]] double jitter_sec() const;
   [[nodiscard]] double throughput_bps() const;
@@ -98,11 +98,12 @@ class SinkApp {
 public:
   explicit SinkApp(os::TimerFacility& timers) : timers_(timers) {}
 
-  /// Attach to a session's delivery upcall.
+  /// Attach to a session's delivery upcall; app.deliver trace events go
+  /// to the session's ring.
   void attach(tko::Session& session);
 
   /// Feed one delivered message directly (used when the session upcall is
-  /// already owned elsewhere).
+  /// already owned elsewhere). A sink never attached traces nothing.
   void on_message(tko::Message&& m);
 
   [[nodiscard]] const SinkStats& stats() const { return stats_; }
@@ -128,6 +129,7 @@ public:
 
 private:
   os::TimerFacility& timers_;
+  unites::TraceRecorder* trace_ = nullptr;  ///< the attached session's ring
   SinkStats stats_;
   std::uint32_t last_id_ = 0;
   std::vector<bool> seen_;

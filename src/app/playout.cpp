@@ -1,7 +1,6 @@
 #include "app/playout.hpp"
 
 #include "unites/profiler.hpp"
-#include "unites/trace.hpp"
 
 #include <cmath>
 
@@ -21,6 +20,7 @@ PlayoutSink::PlayoutSink(os::TimerFacility& timers, sim::SimTime playout_delay, 
     : timers_(timers), delay_(playout_delay), on_play_(std::move(on_play)) {}
 
 void PlayoutSink::attach(tko::Session& session) {
+  trace_ = &session.trace_ring();
   session.set_deliver([this](tko::Message&& m) { on_message(std::move(m)); });
 }
 
@@ -65,8 +65,10 @@ void PlayoutSink::play(std::uint32_t id) {
   stats_.play_error_sec.push_back(std::abs((now - it->second.ideal).sec()));
   // Whitebox span terminus: session field carries the unit id (matching
   // app.deliver); value is the hold time the buffer absorbed.
-  unites::trace().instant(unites::TraceCategory::kApp, "app.playout", now, 0, id,
-                          static_cast<double>((now - it->second.arrived).ns()));
+  if (trace_ != nullptr) {
+    trace_->instant(unites::TraceCategory::kApp, "app.playout", now, 0, id,
+                    static_cast<double>((now - it->second.arrived).ns()));
+  }
   if (on_play_) on_play_(id, std::move(it->second.payload));
   buffer_.erase(it);
 }

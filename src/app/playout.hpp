@@ -42,7 +42,8 @@ public:
   PlayoutSink(os::TimerFacility& timers, sim::SimTime playout_delay, PlayFn on_play = nullptr);
 
   /// Attach to a session's delivery upcall (UnitHeader framing, as
-  /// produced by SourceApp).
+  /// produced by SourceApp); app.playout trace events go to the session's
+  /// ring. A sink fed through on_message without attach traces nothing.
   void attach(tko::Session& session);
   void on_message(tko::Message&& m);
 
@@ -58,6 +59,7 @@ private:
   void play(std::uint32_t id);
 
   os::TimerFacility& timers_;
+  unites::TraceRecorder* trace_ = nullptr;  ///< the attached session's ring
   sim::SimTime delay_;
   PlayFn on_play_;
   LateFn on_late_;

@@ -1,7 +1,6 @@
 #include "mantts/mantts.hpp"
 
 #include "unites/metric.hpp"
-#include "unites/trace.hpp"
 
 #include <algorithm>
 
@@ -115,9 +114,8 @@ void MantttsEntity::open_session(const Acd& acd, OpenCb cb) {
   // piggybacked SCS reaches every member).
   const bool explicit_negotiation =
       scs.connection != tko::sa::ConnectionScheme::kImplicit && !acd.wants_multicast();
-  unites::trace().instant(unites::TraceCategory::kMantts, "mantts.open", started,
-                          host_.node_id(), 0, static_cast<double>(acd.remotes.size()),
-                          explicit_negotiation ? "explicit" : "implicit");
+  trace("mantts.open", 0, static_cast<double>(acd.remotes.size()),
+        explicit_negotiation ? "explicit" : "implicit");
 
   if (!explicit_negotiation) {
     auto& session = transport_.open(acd.remotes, scs, /*prevalidated=*/cache_hit);
@@ -172,9 +170,9 @@ void MantttsEntity::finish_open(std::uint32_t nonce, const tko::sa::SessionConfi
   r.negotiated = true;
   r.refused = refused;
   r.configuration_time = host_.now() - p.started;
-  unites::trace().span(unites::TraceCategory::kMantts, "mantts.negotiate", p.started,
-                       r.configuration_time, host_.node_id(), nonce, 0.0,
-                       refused ? "refused" : "accepted");
+  host_.network().trace().span(unites::TraceCategory::kMantts, "mantts.negotiate", p.started,
+                               r.configuration_time, host_.node_id(), nonce, 0.0,
+                               refused ? "refused" : "accepted");
   if (refused) {
     ++stats_.refusals_received;
     p.cb(std::move(r));
@@ -204,9 +202,8 @@ void MantttsEntity::on_signaling(net::Packet&& pkt) {
       } else {
         reply.config = admit(*sig->config, limits_);
       }
-      unites::trace().instant(unites::TraceCategory::kMantts, "mantts.config_recv", host_.now(),
-                              host_.node_id(), sig->token, 0.0,
-                              reply.config.has_value() ? "admitted" : "refused");
+      trace("mantts.config_recv", sig->token, 0.0,
+            reply.config.has_value() ? "admitted" : "refused");
       send_signal(pkt.src.node, reply);
       return;
     }
@@ -220,8 +217,7 @@ void MantttsEntity::on_signaling(net::Packet&& pkt) {
     }
     case tko::PduType::kReconfig: {
       ++stats_.reconfigs_received;
-      unites::trace().instant(unites::TraceCategory::kMantts, "mantts.reconfig_recv",
-                              host_.now(), host_.node_id(), sig->token);
+      trace("mantts.reconfig_recv", sig->token);
       tko::TransportSession* session = transport_.find_session(sig->token);
       if (session != nullptr && sig->config.has_value()) {
         session->reconfigure(*sig->config);
@@ -244,8 +240,7 @@ void MantttsEntity::on_signaling(net::Packet&& pkt) {
       if (it == pending_reconfigs_.end()) return;
       pending_reconfigs_.erase(it);
       ++stats_.renegotiations;
-      unites::trace().instant(unites::TraceCategory::kMantts, "mantts.reconfig_ack",
-                              host_.now(), host_.node_id(), sig->token);
+      trace("mantts.reconfig_ack", sig->token);
       return;
     }
     case tko::PduType::kProbe: {
@@ -274,8 +269,7 @@ void MantttsEntity::send_probe(net::NodeId remote) {
   // Bound the outstanding-probe map: lost probes age out eldest-first.
   if (probe_sent_at_.size() > 64) probe_sent_at_.erase(probe_sent_at_.begin());
   ++stats_.probes_sent;
-  unites::trace().instant(unites::TraceCategory::kMantts, "mantts.probe", host_.now(),
-                          host_.node_id(), nonce, static_cast<double>(remote));
+  trace("mantts.probe", nonce, static_cast<double>(remote));
   Signal s;
   s.type = tko::PduType::kProbe;
   s.token = nonce;
@@ -332,18 +326,16 @@ void MantttsEntity::enable_adaptation(tko::TransportSession& session, std::vecto
       ad.degraded_since = host_.now();
       ad.segues_at_fault = s.context().reconfigurations();
       ++stats_.faults_detected;
-      unites::trace().instant(unites::TraceCategory::kMantts, "mantts.fault_detected",
-                              host_.now(), host_.node_id(), sid,
-                              descriptor.recent_loss_rate,
-                              descriptor.reachable ? "degraded" : "unreachable");
+      trace("mantts.fault_detected", sid, descriptor.recent_loss_rate,
+            descriptor.reachable ? "degraded" : "unreachable");
     } else if (!descriptor.degraded && ad.degraded && !pending_reconfigs_.contains(sid)) {
       ad.degraded = false;
       ++stats_.recoveries;
       const sim::SimTime took = host_.now() - ad.degraded_since;
       const auto segues =
           static_cast<double>(s.context().reconfigurations() - ad.segues_at_fault);
-      unites::trace().span(unites::TraceCategory::kMantts, "mantts.recovery",
-                           ad.degraded_since, took, host_.node_id(), sid, segues);
+      host_.network().trace().span(unites::TraceCategory::kMantts, "mantts.recovery",
+                                   ad.degraded_since, took, host_.node_id(), sid, segues);
       if (repo_ != nullptr) {
         repo_->record({host_.node_id(), sid, unites::metrics::kRecoveryTimeNs}, host_.now(),
                       static_cast<double>(took.ns()));
@@ -359,8 +351,7 @@ void MantttsEntity::enable_adaptation(tko::TransportSession& session, std::vecto
     bool changed = false;
     for (const TsaAction action : actions) {
       ++stats_.policy_firings;
-      unites::trace().instant(unites::TraceCategory::kMantts, "mantts.policy_fire", host_.now(),
-                              host_.node_id(), sid, static_cast<double>(action));
+      trace("mantts.policy_fire", sid, static_cast<double>(action));
       if (action == TsaAction::kNotifyApplication) {
         auto cb = qos_callbacks_.find(sid);
         if (cb != qos_callbacks_.end() && cb->second) cb->second(cfg);
@@ -389,19 +380,13 @@ void MantttsEntity::enable_adaptation(tko::TransportSession& session, std::vecto
     if (s.state() != tko::SessionState::kEstablished) return;
     if (pending_reconfigs_.contains(sid)) return;
     ++stats_.watchdog_escalations;
-    unites::trace().instant(unites::TraceCategory::kMantts, "mantts.watchdog_escalation",
-                            host_.now(), host_.node_id(), sid);
+    trace("mantts.watchdog_escalation", sid);
     if (repo_ != nullptr) {
       repo_->record({host_.node_id(), sid, unites::metrics::kWatchdogEscalations}, host_.now(),
                     1.0);
     }
     apply_and_propagate(s, s.config());
   });
-}
-
-void MantttsEntity::disable_adaptation(tko::TransportSession& session) {
-  session.set_stall_observer(nullptr);
-  adaptations_.erase(session.id());
 }
 
 void MantttsEntity::set_qos_callback(tko::TransportSession& session, QosChangeFn fn) {
@@ -461,9 +446,7 @@ void MantttsEntity::apply_and_propagate(tko::TransportSession& session,
     if (!fresh && sit->second != oit->second) {
       sit->second = oit->second;
       ++stats_.resyntheses;
-      unites::trace().instant(unites::TraceCategory::kMantts, "mantts.resynthesize",
-                              host_.now(), host_.node_id(), session.id(),
-                              static_cast<double>(oit->second));
+      trace("mantts.resynthesize", session.id(), static_cast<double>(oit->second));
     }
   }
   session.reconfigure(cfg);
@@ -486,8 +469,7 @@ void MantttsEntity::apply_and_propagate(tko::TransportSession& session,
   // until its ack: a signaling channel through a faulty network loses
   // RECONFIGs exactly when reconfiguring matters most.
   ++stats_.reconfigs_sent;
-  unites::trace().instant(unites::TraceCategory::kMantts, "mantts.reconfig_send", host_.now(),
-                          host_.node_id(), session.id());
+  trace("mantts.reconfig_send", session.id());
   Signal s{tko::PduType::kReconfig, session.id(), cfg};
   signal_session_remotes(session, s);
   track_reconfig(session, cfg);
@@ -514,8 +496,7 @@ void MantttsEntity::resend_reconfig(std::uint32_t sid) {
     return;
   }
   ++stats_.reconfig_retries;
-  unites::trace().instant(unites::TraceCategory::kMantts, "mantts.reconfig_retry", host_.now(),
-                          host_.node_id(), sid, static_cast<double>(p.retries_left));
+  trace("mantts.reconfig_retry", sid, static_cast<double>(p.retries_left));
   Signal s{tko::PduType::kReconfig, sid, p.cfg};
   signal_session_remotes(*p.session, s);
   p.backoff = p.backoff * 2;  // exponential backoff between resends
@@ -528,8 +509,7 @@ void MantttsEntity::on_reconfig_exhausted(std::uint32_t sid) {
   tko::TransportSession* session = it->second.session;
   pending_reconfigs_.erase(it);
   ++stats_.renegotiation_failures;
-  unites::trace().instant(unites::TraceCategory::kMantts, "mantts.renegotiation_failed",
-                          host_.now(), host_.node_id(), sid);
+  trace("mantts.renegotiation_failed", sid);
 
   // Graceful degradation: step the session down the QoS ladder one rung
   // and try to renegotiate the humbler configuration. The ladder bounds
@@ -540,8 +520,7 @@ void MantttsEntity::on_reconfig_exhausted(std::uint32_t sid) {
   if (down.has_value() && tko::sa::Synthesizer::validate(*down).empty()) {
     ++rung;
     ++stats_.qos_downgrades;
-    unites::trace().instant(unites::TraceCategory::kMantts, "mantts.qos_downgrade",
-                            host_.now(), host_.node_id(), sid, static_cast<double>(rung));
+    trace("mantts.qos_downgrade", sid, static_cast<double>(rung));
     apply_and_propagate(*session, *down);
     return;
   }

@@ -62,7 +62,6 @@ public:
   /// (segue) and propagated to the remote entity.
   void enable_adaptation(tko::TransportSession& session, std::vector<TsaRule> rules,
                          sim::SimTime period = sim::SimTime::milliseconds(100));
-  void disable_adaptation(tko::TransportSession& session);
   [[nodiscard]] bool adaptation_enabled(std::uint32_t sid) const {
     return adaptations_.contains(sid);
   }
@@ -186,6 +185,13 @@ private:
   void resend_reconfig(std::uint32_t sid);
   void on_reconfig_exhausted(std::uint32_t sid);
   void signal_session_remotes(tko::TransportSession& session, const Signal& s);
+  /// A kMantts instant in the World's trace ring, stamped with this
+  /// host's clock and node.
+  void trace(const char* name, std::uint32_t session, double value = 0.0,
+             const char* detail = nullptr) {
+    host_.network().trace().instant(unites::TraceCategory::kMantts, name, host_.now(),
+                                    host_.node_id(), session, value, detail);
+  }
 
   os::Host& host_;
   tko::AdaptiveTransport& transport_;

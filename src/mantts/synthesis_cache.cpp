@@ -122,11 +122,6 @@ bool SynthesisCache::invalidate(const SynthesisKey& key) {
   return true;
 }
 
-void SynthesisCache::clear() {
-  lru_.clear();
-  index_.clear();
-}
-
 std::vector<SynthesisKey> SynthesisCache::eviction_order() const {
   std::vector<SynthesisKey> out;
   out.reserve(lru_.size());

@@ -88,8 +88,6 @@ public:
   /// Drop the entry (renegotiation/retarget made it stale). False when absent.
   bool invalidate(const SynthesisKey& key);
 
-  void clear();
-
   [[nodiscard]] std::size_t size() const { return index_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] const SynthesisCacheStats& stats() const { return stats_; }

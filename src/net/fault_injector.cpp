@@ -1,7 +1,5 @@
 #include "net/fault_injector.hpp"
 
-#include "unites/trace.hpp"
-
 #include <algorithm>
 
 namespace adaptive::net {
@@ -83,21 +81,27 @@ void FaultInjector::record(const sim::FaultSpec& spec, const char* phase) {
   // vs jobs=N gate). The trace carries phase (via the event name) and kind
   // as literals; the full spec text is in the plan the run was given.
   const bool begin = phase[0] == 'b';
-  unites::trace().instant(unites::TraceCategory::kNet,
-                          begin ? "net.fault.begin" : "net.fault.end", net_.scheduler().now(), 0,
-                          0, static_cast<double>(spec.link), sim::to_string(spec.kind));
+  net_.trace().instant(unites::TraceCategory::kNet, begin ? "net.fault.begin" : "net.fault.end",
+                       net_.scheduler().now(), 0, 0, static_cast<double>(spec.link),
+                       sim::to_string(spec.kind));
 }
 
 void FaultInjector::take_pair_down(LinkId fwd) {
-  if (down_count_[fwd]++ == 0) net_.set_link_pair_up(fwd, false);
+  Outage& o = outages_[fwd];
+  if (o.windows++ > 0) return;
+  o.was_up = net_.link(fwd).is_up();
+  net_.set_link_pair_up(fwd, false);
 }
 
 void FaultInjector::release_pair(LinkId fwd) {
-  const auto it = down_count_.find(fwd);
-  if (it == down_count_.end()) return;
-  if (--it->second == 0) {
-    down_count_.erase(it);
-    net_.set_link_pair_up(fwd, true);  // no outage window covers it any more
+  const auto it = outages_.find(fwd);
+  if (it == outages_.end()) return;
+  if (--it->second.windows == 0) {
+    // No outage window covers the pair any more. A pair that was already
+    // down when the first window began (a mobile host's idle attachment)
+    // is not the injector's to bring up.
+    if (it->second.was_up) net_.set_link_pair_up(fwd, true);
+    outages_.erase(it);
   }
 }
 

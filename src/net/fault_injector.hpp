@@ -15,9 +15,10 @@
 // parameters overwrite/max). When the last episode ends the baseline is
 // restored exactly. Outages (down/flap/partition) are reference-counted
 // per link pair, so a link only comes back up when no outage window still
-// covers it. (The pre-chaos injector saved configs per episode and let
-// the first restore win — overlapping windows could leave links degraded
-// or resurrect them early; see the overlap regression tests.)
+// covers it, and only if it was up when the first window began. (The
+// pre-chaos injector saved configs per episode and let the first restore
+// win — overlapping windows could leave links degraded or resurrect them
+// early; see the overlap regression tests.)
 #pragma once
 
 #include "net/network.hpp"
@@ -80,7 +81,12 @@ private:
   std::vector<NodeId> hosts_;
   std::map<LinkId, LinkConfig> baseline_;  ///< pre-fault configs by link id
   std::map<LinkId, std::vector<ActiveEpisode>> active_;
-  std::map<LinkId, std::uint32_t> down_count_;  ///< outage refcounts by fwd id
+  /// A pair held down by outage windows, keyed by forward link id.
+  struct Outage {
+    std::uint32_t windows = 0;  ///< open down/flap/partition windows
+    bool was_up = false;        ///< the pair's state when the first began
+  };
+  std::map<LinkId, Outage> outages_;
   std::vector<sim::EventHandle> scheduled_;
   std::uint64_t next_episode_ = 0;
   Stats stats_;

@@ -1,19 +1,17 @@
 #include "net/link.hpp"
 
 #include "unites/profiler.hpp"
-#include "unites/trace.hpp"
 
 #include <cmath>
 
 namespace adaptive::net {
 
 Link::Link(LinkId id, NodeId from, NodeId to, const LinkConfig& cfg,
-           sim::EventScheduler& sched, sim::Rng rng)
-    : id_(id), from_(from), to_(to), cfg_(cfg), sched_(sched), rng_(rng) {}
+           sim::EventScheduler& sched, sim::Rng rng, unites::TraceRecorder& trace)
+    : id_(id), from_(from), to_(to), cfg_(cfg), sched_(sched), rng_(rng), trace_(trace) {}
 
 void Link::drop(const Packet& p, const char* reason) {
-  unites::trace().instant(unites::TraceCategory::kNet, "net.drop", sched_.now(), from_, 0,
-                          static_cast<double>(p.size_bytes()), reason);
+  trace("net.drop", static_cast<double>(p.size_bytes()), reason);
   if (on_drop_) on_drop_(p, reason);
 }
 
@@ -66,8 +64,7 @@ void Link::start_transmission() {
   const auto tx_time = cfg_.bandwidth.transmission_time(p.size_bytes());
   ++stats_.tx_packets;
   stats_.tx_bytes += p.size_bytes();
-  unites::trace().span(unites::TraceCategory::kNet, "net.tx", sched_.now(), tx_time, from_, 0,
-                       static_cast<double>(p.size_bytes()));
+  trace("net.tx", static_cast<double>(p.size_bytes()), nullptr, tx_time);
 
   // After serialization completes, the next queued packet may start, and
   // this one propagates to the far end.
@@ -128,8 +125,7 @@ void Link::deliver_mutated(Packet&& p) {
       rng_.bernoulli(cfg_.truncate_probability)) {
     p.payload.truncate(rng_.uniform_int(0, p.payload.size() - 1));
     ++stats_.truncated;
-    unites::trace().instant(unites::TraceCategory::kNet, "net.mutate", sched_.now(), from_, 0,
-                            static_cast<double>(p.payload.size()), "truncate");
+    trace("net.mutate", static_cast<double>(p.payload.size()), "truncate");
   }
   if (cfg_.corrupt_probability > 0.0 && !p.payload.empty() &&
       rng_.bernoulli(cfg_.corrupt_probability)) {
@@ -144,21 +140,18 @@ void Link::deliver_mutated(Packet&& p) {
     }
     p.bit_error = true;
     ++stats_.corrupted;
-    unites::trace().instant(unites::TraceCategory::kNet, "net.mutate", sched_.now(), from_, 0,
-                            static_cast<double>(len), "corrupt");
+    trace("net.mutate", static_cast<double>(len), "corrupt");
   }
   if (cfg_.duplicate_probability > 0.0 && rng_.bernoulli(cfg_.duplicate_probability)) {
     ++stats_.duplicated;
-    unites::trace().instant(unites::TraceCategory::kNet, "net.mutate", sched_.now(), from_, 0,
-                            static_cast<double>(p.size_bytes()), "duplicate");
+    trace("net.mutate", static_cast<double>(p.size_bytes()), "duplicate");
     deliver_(Packet(p));
   }
   if (cfg_.reorder_probability > 0.0 && rng_.bernoulli(cfg_.reorder_probability)) {
     ++stats_.reordered;
     const auto hold = sim::SimTime::microseconds(
         static_cast<std::int64_t>(rng_.uniform_int(200, 3000)));
-    unites::trace().instant(unites::TraceCategory::kNet, "net.mutate", sched_.now(), from_, 0,
-                            static_cast<double>(hold.ns()), "reorder");
+    trace("net.mutate", static_cast<double>(hold.ns()), "reorder");
     sched_.schedule_after(hold, [this, p = std::move(p)]() mutable {
       if (deliver_) deliver_(std::move(p));
     });

@@ -12,6 +12,7 @@
 #include "sim/event_scheduler.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
+#include "unites/trace.hpp"
 
 #include <algorithm>
 #include <cstdint>
@@ -69,8 +70,9 @@ public:
   /// propagation.
   using DeliverFn = std::function<void(Packet&&)>;
 
+  /// `trace` is the ring of the network that builds the link.
   Link(LinkId id, NodeId from, NodeId to, const LinkConfig& cfg,
-       sim::EventScheduler& sched, sim::Rng rng);
+       sim::EventScheduler& sched, sim::Rng rng, unites::TraceRecorder& trace);
 
   [[nodiscard]] LinkId id() const { return id_; }
   [[nodiscard]] NodeId from() const { return from_; }
@@ -129,6 +131,13 @@ private:
   /// corrupt, duplicate, reorder) and hands the packet(s) to deliver_.
   void deliver_mutated(Packet&& p);
   void drop(const Packet& p, const char* reason);
+  /// A kNet trace event stamped with now and this link's sending node;
+  /// a non-zero `duration` makes it a span.
+  void trace(const char* name, double value, const char* detail = nullptr,
+             sim::SimTime duration = sim::SimTime::zero()) {
+    trace_.span(unites::TraceCategory::kNet, name, sched_.now(), duration, from_, 0, value,
+                detail);
+  }
 
   LinkId id_;
   NodeId from_;
@@ -136,6 +145,7 @@ private:
   LinkConfig cfg_;
   sim::EventScheduler& sched_;
   sim::Rng rng_;
+  unites::TraceRecorder& trace_;
   DeliverFn deliver_;
   DropFn on_drop_;
   /// Per-priority FIFOs, highest priority served first ("priorities for

@@ -1,7 +1,5 @@
 #include "net/mobility_controller.hpp"
 
-#include "unites/trace.hpp"
-
 #include <algorithm>
 
 namespace adaptive::net {
@@ -60,9 +58,7 @@ void MobilityController::begin_handover(const sim::FaultSpec& spec) {
   net_.monitor().record(NetEventKind::kRouteChange);
   // TraceEvent::detail must be a static-lifetime string (see
   // FaultInjector::record), so the trace carries the mode as a literal.
-  unites::trace().instant(unites::TraceCategory::kNet, "net.handover.begin",
-                          net_.scheduler().now(), 0, 0, static_cast<double>(to),
-                          spec.make_before_break ? "mbb" : "bbm");
+  trace("net.handover.begin", static_cast<double>(to), spec.make_before_break ? "mbb" : "bbm");
   if (on_handover_begin_) on_handover_begin_(spec);
   scheduled_.push_back(net_.scheduler().schedule_after(
       spec.duration, [this, spec, from, to] { finish_handover(spec, from, to); }));
@@ -79,9 +75,7 @@ void MobilityController::finish_handover(const sim::FaultSpec& spec, std::size_t
   in_transition_ = false;
   ++stats_.handovers_completed;
   net_.monitor().record(NetEventKind::kRouteChange);
-  unites::trace().instant(unites::TraceCategory::kNet, "net.handover.end",
-                          net_.scheduler().now(), 0, 0, static_cast<double>(to),
-                          spec.make_before_break ? "mbb" : "bbm");
+  trace("net.handover.end", static_cast<double>(to), spec.make_before_break ? "mbb" : "bbm");
   if (on_handover_) on_handover_(spec);
 }
 
@@ -103,9 +97,7 @@ void MobilityController::apply_membership(const sim::FaultSpec& spec) {
     ++stats_.leaves;
   }
   net_.monitor().record(NetEventKind::kRouteChange);
-  unites::trace().instant(unites::TraceCategory::kNet,
-                          joining ? "net.group.join" : "net.group.leave", net_.scheduler().now(),
-                          0, 0, static_cast<double>(spec.node), nullptr);
+  trace(joining ? "net.group.join" : "net.group.leave", static_cast<double>(spec.node), nullptr);
   if (on_membership_) on_membership_(host, joining);
 }
 

@@ -84,6 +84,11 @@ private:
   void begin_handover(const sim::FaultSpec& spec);
   void finish_handover(const sim::FaultSpec& spec, std::size_t from, std::size_t to);
   void apply_membership(const sim::FaultSpec& spec);
+  /// A kNet trace event in the network's ring, stamped with now.
+  void trace(const char* name, double value, const char* detail) {
+    net_.trace().instant(unites::TraceCategory::kNet, name, net_.scheduler().now(), 0, 0, value,
+                         detail);
+  }
 
   Network& net_;
   std::vector<NodeId> hosts_;

@@ -32,7 +32,7 @@ std::pair<LinkId, LinkId> Network::connect(NodeId a, NodeId b, const LinkConfig&
   }
   auto make = [&](NodeId from, NodeId to) -> LinkId {
     const LinkId id = static_cast<LinkId>(links_.size());
-    links_.push_back(std::make_unique<Link>(id, from, to, cfg, sched_, rng_.fork()));
+    links_.push_back(std::make_unique<Link>(id, from, to, cfg, sched_, rng_.fork(), trace_));
     Link* l = links_.back().get();
     l->set_deliver([this, n = nodes_[to].get(), to_host = is_host_[to]](Packet&& p) {
       if (to_host) monitor_.record(NetEventKind::kDeliver);
@@ -113,17 +113,6 @@ void Network::set_host_rx(NodeId host, HostNode::RxFn fn) {
 }
 
 Link& Network::link(LinkId id) { return *links_.at(id); }
-const Link& Network::link(LinkId id) const { return *links_.at(id); }
-
-Node& Network::node(NodeId id) { return *nodes_.at(id); }
-
-std::vector<NodeId> Network::hosts() const {
-  std::vector<NodeId> out;
-  for (NodeId id = 0; id < is_host_.size(); ++id) {
-    if (is_host_[id]) out.push_back(id);
-  }
-  return out;
-}
 
 PathSample Network::fold_path(NodeId src, NodeId dst, std::size_t bytes, bool with_nodes) const {
   PathSample s;

@@ -5,7 +5,8 @@
 // recomputes it when topology or membership changes — once per batch of
 // changes inside a RouteBatch — and exposes the path queries (MTU, idle
 // latency, hop list) that MANTTS Stage II consults when turning a TSC
-// into an SCS.
+// into an SCS. It also owns its World's UNITES trace ring, which every
+// emitter built on this network records into.
 #pragma once
 
 #include "net/link.hpp"
@@ -15,6 +16,7 @@
 #include "net/routing.hpp"
 #include "sim/event_scheduler.hpp"
 #include "sim/random.hpp"
+#include "unites/trace.hpp"
 
 #include <memory>
 #include <utility>
@@ -96,10 +98,7 @@ public:
 
   // --- queries ---------------------------------------------------------
   [[nodiscard]] Link& link(LinkId id);
-  [[nodiscard]] const Link& link(LinkId id) const;
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }
-  [[nodiscard]] Node& node(NodeId id);
-  [[nodiscard]] std::vector<NodeId> hosts() const;
 
   /// Node sequence currently routing src -> dst (empty if unreachable).
   [[nodiscard]] std::vector<NodeId> path(NodeId src, NodeId dst) const;
@@ -131,6 +130,11 @@ public:
 
   [[nodiscard]] sim::EventScheduler& scheduler() { return sched_; }
 
+  /// The trace ring of everything built on this network: its links, the
+  /// hosts and their transports and MANTTS entities, the fault injector
+  /// and the mobility controller. Disabled and unallocated until enable().
+  [[nodiscard]] unites::TraceRecorder& trace() { return trace_; }
+
 private:
   /// Recompute now, or at the close of the open batch.
   void routes_changed();
@@ -139,6 +143,7 @@ private:
 
   sim::EventScheduler& sched_;
   sim::Rng rng_;
+  unites::TraceRecorder trace_;
   NetworkMonitor monitor_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<bool> is_host_;  ///< by node id

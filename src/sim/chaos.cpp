@@ -31,8 +31,6 @@ FaultPlan ChaosPlanGenerator::generate(std::uint64_t seed) const {
   const std::size_t hi = std::max(lo, profile_.max_faults);
   const std::size_t n = rng.uniform_int(lo, hi);
 
-  const bool partitions = profile_.allow_partition && profile_.host_count > 0;
-
   FaultPlan plan;
   plan.faults.reserve(n);
   // `max_faults == 0` means a pure-mobility plan: skip link impairments
@@ -42,7 +40,7 @@ FaultPlan ChaosPlanGenerator::generate(std::uint64_t seed) const {
     spec.link = rng.uniform_int(0, links - 1);
     spec.at = SimTime::seconds(rng.uniform(0.1, std::max(0.2, 0.7 * horizon)));
 
-    const std::uint64_t kind = rng.uniform_int(0, partitions ? 6 : 5);
+    const std::uint64_t kind = rng.uniform_int(0, 5);
     switch (kind) {
       case 0: {  // single outage
         spec.kind = FaultKind::kLinkDown;
@@ -94,14 +92,6 @@ FaultPlan ChaosPlanGenerator::generate(std::uint64_t seed) const {
         spec.reorder_p = rng.uniform(0.0, 0.15);
         spec.truncate_p = rng.uniform(0.0, 0.02);
         const double dur = rng.uniform(0.5, std::max(0.8, 0.5 * horizon));
-        spec.duration = SimTime::seconds(dur);
-        fit_window(spec, dur, limit);
-        break;
-      }
-      default: {  // host partition
-        spec.kind = FaultKind::kPartition;
-        spec.node = rng.uniform_int(0, profile_.host_count - 1);
-        const double dur = rng.uniform(0.05, outage_cap);
         spec.duration = SimTime::seconds(dur);
         fit_window(spec, dur, limit);
         break;

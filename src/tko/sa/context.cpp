@@ -1,7 +1,6 @@
 #include "tko/sa/context.hpp"
 
 #include "unites/profiler.hpp"
-#include "unites/trace.hpp"
 
 #include <stdexcept>
 
@@ -69,10 +68,8 @@ Mechanism& Context::segue(std::unique_ptr<Mechanism> next) {
   rewire();
   ++reconfigurations_;
   core_->count("context.segue");
-  unites::trace().instant(unites::TraceCategory::kTko, "tko.segue", core_->now(),
-                          core_->node_id(), core_->session_id(),
-                          static_cast<double>(reconfigurations_),
-                          to_string(static_cast<MechanismSlot>(idx)));
+  core_->trace_event("tko.segue", static_cast<double>(reconfigurations_),
+                     to_string(static_cast<MechanismSlot>(idx)));
   return *slots_[idx];
 }
 

@@ -3,7 +3,6 @@
 #include "tko/sa/seqnum.hpp"
 #include "unites/metric.hpp"
 #include "unites/profiler.hpp"
-#include "unites/trace.hpp"
 
 #include <algorithm>
 #include <vector>
@@ -30,8 +29,7 @@ void GoBackN::emit_data(std::uint32_t seq, Message payload, bool retransmission)
   if (retransmission) {
     ++stats_.retransmissions;
     send_time_.erase(seq);  // Karn: never sample a retransmitted PDU
-    unites::trace().instant(unites::TraceCategory::kTko, "tko.retransmit", core_->now(),
-                            core_->node_id(), core_->session_id(), seq, "go-back-n");
+    core_->trace_event("tko.retransmit", seq, "go-back-n");
   } else {
     ++stats_.data_sent;
     send_time_[seq] = core_->now();
@@ -72,8 +70,7 @@ void GoBackN::on_timeout() {
   core_->loss_signal();
   core_->count("reliability.timeout");
   core_->count(unites::metrics::kRtoNs, static_cast<double>(rtt_.rto().ns()));
-  unites::trace().instant(unites::TraceCategory::kTko, "tko.rto", core_->now(), core_->node_id(),
-                          core_->session_id(), static_cast<double>(rtt_.rto().ns()), "go-back-n");
+  core_->trace_event("tko.rto", static_cast<double>(rtt_.rto().ns()), "go-back-n");
   go_back(st_.send_base);
   retx_timer_->schedule(rtt_.rto());
 }

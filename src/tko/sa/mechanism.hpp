@@ -71,9 +71,12 @@ public:
   /// is not instrumented.
   virtual void count(std::string_view metric, double value = 1.0) = 0;
 
-  /// Identity for trace events: the owning host's node id and the session
-  /// id. Defaults keep unit-test session stubs source-compatible.
-  [[nodiscard]] virtual net::NodeId node_id() const { return 0; }
+  /// Trace hook (UNITES): a kTko instant in the World's trace ring,
+  /// stamped with now, the owning host's node and session_id(). The
+  /// defaults keep unit-test session stubs source-compatible: a stub
+  /// records nothing and has session id 0.
+  virtual void trace_event(const char* /*name*/, double /*value*/ = 0.0,
+                           const char* /*detail*/ = nullptr) {}
   [[nodiscard]] virtual std::uint32_t session_id() const { return 0; }
 };
 

@@ -6,7 +6,6 @@
 #include "tko/sa/seqnum.hpp"
 #include "unites/profiler.hpp"
 #include "unites/spans.hpp"
-#include "unites/trace.hpp"
 
 #include <algorithm>
 
@@ -50,9 +49,8 @@ bool ReliabilityBase::receiver_mark(std::uint32_t seq) {
 void ReliabilityBase::trace_enqueue(const Message& payload, std::uint32_t seq) const {
   const std::uint64_t lc = payload.lifecycle();
   if (lc == 0) return;
-  unites::trace().instant(
-      unites::TraceCategory::kTko, unites::lifecycle::kEnqueue, core_->now(), core_->node_id(),
-      core_->session_id(), unites::pack_unit_seq(static_cast<std::uint32_t>(lc - 1), seq));
+  core_->trace_event(unites::lifecycle::kEnqueue,
+                     unites::pack_unit_seq(static_cast<std::uint32_t>(lc - 1), seq));
 }
 
 void ReliabilityBase::offer_up(std::uint32_t seq, Message&& payload) {

@@ -3,7 +3,6 @@
 #include "tko/sa/seqnum.hpp"
 #include "unites/metric.hpp"
 #include "unites/profiler.hpp"
-#include "unites/trace.hpp"
 
 #include <algorithm>
 
@@ -46,8 +45,7 @@ void SelectiveRepeat::retransmit(std::uint32_t seq) {
   ++stats_.retransmissions;
   send_time_.erase(seq);  // Karn
   deadline_[seq] = core_->now() + rtt_.rto();
-  unites::trace().instant(unites::TraceCategory::kTko, "tko.retransmit", core_->now(),
-                          core_->node_id(), core_->session_id(), seq, "selective-repeat");
+  core_->trace_event("tko.retransmit", seq, "selective-repeat");
 
   Pdu p;
   p.type = PduType::kData;
@@ -152,9 +150,7 @@ void SelectiveRepeat::on_timeout() {
     core_->loss_signal();
     core_->count("reliability.timeout");
     core_->count(unites::metrics::kRtoNs, static_cast<double>(rtt_.rto().ns()));
-    unites::trace().instant(unites::TraceCategory::kTko, "tko.rto", core_->now(),
-                            core_->node_id(), core_->session_id(),
-                            static_cast<double>(rtt_.rto().ns()), "selective-repeat");
+    core_->trace_event("tko.rto", static_cast<double>(rtt_.rto().ns()), "selective-repeat");
     // Retransmit only expired PDUs (selective).
     std::vector<std::uint32_t> expired;
     for (const auto& [seq, t] : deadline_) {

@@ -8,7 +8,6 @@
 #include "tko/sa/transmission_ctrl.hpp"
 
 #include "unites/profiler.hpp"
-#include "unites/trace.hpp"
 
 #include <stdexcept>
 
@@ -88,10 +87,7 @@ std::unique_ptr<Context> Synthesizer::synthesize(const SessionConfig& cfg, bool 
     const auto problems = validate(cfg);
     if (!problems.empty()) {
       ++stats_.validation_failures;
-      if (clock_) {
-        unites::trace().instant(unites::TraceCategory::kTko, "tko.synthesize_failed", clock_(),
-                                node_, 0, static_cast<double>(problems.size()));
-      }
+      trace("tko.synthesize_failed", static_cast<double>(problems.size()), nullptr);
       std::string msg = "SCS validation failed:";
       for (const auto& p : problems) msg += " [" + p + "]";
       throw std::invalid_argument(msg);
@@ -99,12 +95,8 @@ std::unique_ptr<Context> Synthesizer::synthesize(const SessionConfig& cfg, bool 
     last_cost_ = kSynthesisInstr;
   }
   ++stats_.synthesized;
-  if (clock_) {
-    unites::trace().instant(unites::TraceCategory::kTko, "tko.synthesize", clock_(), node_, 0,
-                            static_cast<double>(last_cost_),
-                            prevalidated ? "cache-hit"
-                                         : (tpl != nullptr ? "template-hit" : "full-synthesis"));
-  }
+  trace("tko.synthesize", static_cast<double>(last_cost_),
+        prevalidated ? "cache-hit" : (tpl != nullptr ? "template-hit" : "full-synthesis"));
 
   auto ctx = std::make_unique<Context>();
   for (std::size_t i = 0; i < static_cast<std::size_t>(MechanismSlot::kSlotCount); ++i) {

@@ -12,6 +12,7 @@
 #include "tko/sa/config.hpp"
 #include "tko/sa/context.hpp"
 #include "tko/sa/templates.hpp"
+#include "unites/trace.hpp"
 
 #include <functional>
 #include <memory>
@@ -65,18 +66,29 @@ public:
 
   [[nodiscard]] const SynthesizerStats& stats() const { return stats_; }
 
-  /// Trace identity: the owning transport supplies virtual time and its
-  /// node id, so synthesize() can stamp "tko.synthesize" trace events.
-  /// Without a clock the synthesizer stays silent on the trace timeline.
-  void set_trace_identity(std::function<sim::SimTime()> clock, net::NodeId node) {
+  /// Trace identity: the owning transport supplies its World's trace ring,
+  /// virtual time and its node id, so synthesize() can stamp
+  /// "tko.synthesize" trace events. Without a ring the synthesizer stays
+  /// silent on the trace timeline.
+  void set_trace_identity(unites::TraceRecorder& ring, std::function<sim::SimTime()> clock,
+                          net::NodeId node) {
+    trace_ = &ring;
     clock_ = std::move(clock);
     node_ = node;
   }
 
 private:
+  /// A kTko instant stamped with the transport's clock and node.
+  void trace(const char* name, double value, const char* detail) const {
+    if (trace_ != nullptr && trace_->enabled()) {
+      trace_->instant(unites::TraceCategory::kTko, name, clock_(), node_, 0, value, detail);
+    }
+  }
+
   TemplateCache* cache_;
   SynthesizerStats stats_;
   std::uint64_t last_cost_ = kSynthesisInstr;
+  unites::TraceRecorder* trace_ = nullptr;
   std::function<sim::SimTime()> clock_;
   net::NodeId node_ = 0;
 };

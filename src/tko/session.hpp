@@ -17,6 +17,10 @@
 #include <string_view>
 #include <vector>
 
+namespace adaptive::unites {
+class TraceRecorder;
+}
+
 namespace adaptive::tko {
 
 enum class SessionState {
@@ -72,6 +76,10 @@ public:
   /// session's host from the first byte. Null when the session has no
   /// host-attached pool (e.g. loopback test doubles).
   [[nodiscard]] virtual os::BufferPool* buffer_pool() { return nullptr; }
+
+  /// The World's UNITES trace ring this session records into. The
+  /// applications that send on or listen to the session record there too.
+  [[nodiscard]] virtual unites::TraceRecorder& trace_ring() = 0;
 
   [[nodiscard]] const net::Address& local() const { return local_; }
   [[nodiscard]] const std::vector<net::Address>& remotes() const { return remotes_; }

@@ -88,6 +88,14 @@ os::Host& TransportSession::host() { return proto_.host(); }
 os::TimerFacility& TransportSession::timers() { return proto_.host().timers(); }
 os::BufferPool& TransportSession::buffers() { return proto_.host().buffers(); }
 sim::SimTime TransportSession::now() const { return proto_.host().now(); }
+unites::TraceRecorder& TransportSession::trace_ring() { return proto_.host().network().trace(); }
+
+void TransportSession::trace_event(const char* name, double value, const char* detail) {
+  unites::TraceRecorder& ring = trace_ring();
+  if (ring.enabled()) {
+    ring.instant(unites::TraceCategory::kTko, name, now(), local_.node, id_, value, detail);
+  }
+}
 
 std::size_t TransportSession::receiver_count() const {
   if (remotes_.size() == 1 && net::is_multicast(remotes_.front().node)) {
@@ -119,7 +127,7 @@ void TransportSession::connect() {
   if (state_ != SessionState::kIdle) return;
   state_ = SessionState::kConnecting;
   stats_.connect_started = now();
-  unites::trace().instant(unites::TraceCategory::kTko, "tko.connect", now(), node_id(), id_);
+  trace_event("tko.connect");
   ctx_->connection().open();
 }
 
@@ -131,11 +139,9 @@ bool TransportSession::send(Message&& m) {
   if (state_ == SessionState::kIdle) connect();
 
   UNITES_PROF_S("transport.send", id_);
-  unites::trace().instant(unites::TraceCategory::kTko, "tko.submit", now(), node_id(), id_,
-                          static_cast<double>(m.size()));
+  trace_event("tko.submit", static_cast<double>(m.size()));
   if (m.lifecycle() != 0) {
-    unites::trace().instant(unites::TraceCategory::kTko, unites::lifecycle::kSubmit, now(),
-                            node_id(), id_, static_cast<double>(m.lifecycle() - 1));
+    trace_event(unites::lifecycle::kSubmit, static_cast<double>(m.lifecycle() - 1));
   }
 
   // Application -> transport boundary: one user/kernel crossing.
@@ -317,9 +323,8 @@ void TransportSession::emit(Pdu&& p) {
 
   record_trace(/*outbound=*/true, p);
   if (p.type == PduType::kData && lifecycle != 0) {
-    unites::trace().instant(
-        unites::TraceCategory::kTko, unites::lifecycle::kTx, now(), node_id(), id_,
-        unites::pack_unit_seq(static_cast<std::uint32_t>(lifecycle - 1), p.seq));
+    trace_event(unites::lifecycle::kTx,
+                unites::pack_unit_seq(static_cast<std::uint32_t>(lifecycle - 1), p.seq));
   }
   const std::size_t payload_bytes = p.payload.size();
   const PduType type = p.type;
@@ -471,8 +476,7 @@ void TransportSession::deliver(Message&& m) {
   note_progress();
   stats_.bytes_delivered += m.size();
   count("data.delivered_bytes", static_cast<double>(m.size()));
-  unites::trace().instant(unites::TraceCategory::kTko, "tko.deliver", now(), node_id(), id_,
-                          static_cast<double>(m.size()));
+  trace_event("tko.deliver", static_cast<double>(m.size()));
   if (!cfg_.message_oriented) {
     ++stats_.messages_delivered;
     deliver_up(std::move(m));
@@ -520,9 +524,9 @@ void TransportSession::connection_established() {
   if (stats_.connect_started > sim::SimTime::zero() || active_) {
     count("connection.setup_ns",
           static_cast<double>((stats_.established_at - stats_.connect_started).ns()));
-    unites::trace().span(unites::TraceCategory::kTko, "tko.connection_setup",
-                         stats_.connect_started, stats_.established_at - stats_.connect_started,
-                         node_id(), id_);
+    trace_ring().span(unites::TraceCategory::kTko, "tko.connection_setup",
+                      stats_.connect_started, stats_.established_at - stats_.connect_started,
+                      local_.node, id_);
   }
   if (state_ != SessionState::kClosing) {
     // A close() issued during the handshake stays in force: the session
@@ -575,8 +579,8 @@ void TransportSession::note_progress() {
   ++stats_.watchdog_recoveries;
   const sim::SimTime stalled_for = now() - wd_stall_since_;
   count(unites::metrics::kWatchdogRecoveryNs, static_cast<double>(stalled_for.ns()));
-  unites::trace().span(unites::TraceCategory::kTko, "tko.watchdog_recovery", wd_stall_since_,
-                       stalled_for, node_id(), id_);
+  trace_ring().span(unites::TraceCategory::kTko, "tko.watchdog_recovery", wd_stall_since_,
+                    stalled_for, local_.node, id_);
 }
 
 void TransportSession::watchdog_check() {
@@ -595,9 +599,7 @@ void TransportSession::watchdog_check() {
       wd_stall_since_ = now();
       ++stats_.watchdog_stalls;
       count(unites::metrics::kWatchdogStall);
-      unites::trace().instant(unites::TraceCategory::kTko, "tko.watchdog_stall", now(),
-                              node_id(), id_,
-                              static_cast<double>((now() - wd_last_progress_).ns()));
+      trace_event("tko.watchdog_stall", static_cast<double>((now() - wd_last_progress_).ns()));
     }
     // Local kick first: reset reliability backoff and force retransmission,
     // then re-pump; the observer lets MANTTS escalate to renegotiation.
@@ -680,16 +682,14 @@ void TransportSession::reconfigure(const sa::SessionConfig& next) {
   if (det_changed) swap_slot(Slot::kErrorDetection);
   if (conn_changed) swap_slot(Slot::kConnection);
   count("session.reconfigured");
-  unites::trace().instant(unites::TraceCategory::kTko, "tko.reconfigure", now(), node_id(), id_,
-                          static_cast<double>(ctx_->reconfigurations()));
+  trace_event("tko.reconfigure", static_cast<double>(ctx_->reconfigurations()));
   pump();
 }
 
 void TransportSession::on_path_change() {
   ++stats_.path_changes;
   count("session.path_change");
-  unites::trace().instant(unites::TraceCategory::kTko, "tko.path_change", now(), node_id(), id_,
-                          static_cast<double>(stats_.path_changes));
+  trace_event("tko.path_change", static_cast<double>(stats_.path_changes));
   ctx_->reliability().on_path_change();
   // Queued data should try the new path now, not at the next (possibly
   // reseeded, conservative) timer expiry.
@@ -711,7 +711,8 @@ void TransportSession::announce_anchor() { ctx_->reliability().announce_anchor()
 AdaptiveTransport::AdaptiveTransport(os::Host& host, net::PortId port)
     : Protocol("adaptive-transport"), host_(host), port_(port) {
   host_.bind_port(port_, [this](net::Packet&& p) { demux(std::move(p)); });
-  synth_.set_trace_identity([this] { return host_.now(); }, host_.node_id());
+  synth_.set_trace_identity(host_.network().trace(), [this] { return host_.now(); },
+                            host_.node_id());
 }
 
 AdaptiveTransport::~AdaptiveTransport() { host_.unbind_port(port_); }

@@ -100,6 +100,7 @@ public:
   [[nodiscard]] SessionState state() const override { return state_; }
   [[nodiscard]] std::optional<std::string> control(std::string_view op) const override;
   [[nodiscard]] os::BufferPool* buffer_pool() override { return &buffers(); }
+  [[nodiscard]] unites::TraceRecorder& trace_ring() override;
 
   // ---- SessionCore interface (mechanism-facing) ----------------------
   void emit(Pdu&& p) override;
@@ -114,7 +115,7 @@ public:
   void connection_closed(bool aborted) override;
   void loss_signal() override;
   void count(std::string_view metric, double value = 1.0) override;
-  [[nodiscard]] net::NodeId node_id() const override { return local_.node; }
+  void trace_event(const char* name, double value = 0.0, const char* detail = nullptr) override;
   [[nodiscard]] std::uint32_t session_id() const override { return id_; }
 
   // ---- management ------------------------------------------------------

@@ -40,26 +40,6 @@ SeriesStats analyze(const Series& s) {
   return out;
 }
 
-DistributionStats analyze_histogram(const Histogram& h) {
-  DistributionStats out;
-  out.count = h.count();
-  if (out.count == 0) return out;
-  out.mean = h.mean();
-  out.min = h.min();
-  out.max = h.max();
-  out.p50 = h.p50();
-  out.p90 = h.p90();
-  out.p99 = h.p99();
-  out.p999 = h.p999();
-  return out;
-}
-
-Histogram to_histogram(const Series& s) {
-  Histogram h;
-  for (const auto& smp : s) h.add(smp.value);
-  return h;
-}
-
 double jitter(const Series& delays) { return analyze(delays).stddev; }
 
 std::optional<double> rate_per_second(const Series& s) {

@@ -5,7 +5,6 @@
 // "the variance in the delay" — computed over delay samples.
 #pragma once
 
-#include "unites/histogram.hpp"
 #include "unites/metric.hpp"
 
 #include <optional>
@@ -25,24 +24,6 @@ struct SeriesStats {
 
 /// Descriptive statistics over sample values. Empty series -> count 0.
 [[nodiscard]] SeriesStats analyze(const Series& s);
-
-/// Distribution summary of a log-bucketed histogram: the percentile view
-/// (p50/p90/p99/p99.9) UNITES reports for latency-style metrics.
-struct DistributionStats {
-  std::uint64_t count = 0;
-  double mean = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-  double p999 = 0.0;
-};
-[[nodiscard]] DistributionStats analyze_histogram(const Histogram& h);
-
-/// Fold every sample of a series into a histogram (for series collected
-/// before distributions existed, e.g. sink latency vectors).
-[[nodiscard]] Histogram to_histogram(const Series& s);
 
 /// Jitter per the paper: the variance (reported as stddev) of the delay
 /// samples in the series.

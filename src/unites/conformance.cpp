@@ -2,7 +2,6 @@
 
 #include "unites/json_writer.hpp"
 #include "unites/repository.hpp"
-#include "unites/trace.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -109,9 +108,8 @@ void ConformanceMonitor::register_contract(const mantts::QosContract& c, sim::Si
   State& st = sessions_[c.session];
   st.rep.contract = c;
   ++st.rep.registrations;
-  trace().instant(TraceCategory::kConformance, "qos.contract", now, c.host, c.session,
-                  static_cast<double>(st.rep.registrations),
-                  st.rep.registrations > 1 ? "reregistered" : "registered");
+  trace("qos.contract", now, c, static_cast<double>(st.rep.registrations),
+        st.rep.registrations > 1 ? "reregistered" : "registered");
   if (st.rep.health == ContractHealth::kNone) st.rep.health = ContractHealth::kInContract;
 }
 
@@ -182,13 +180,6 @@ void ConformanceMonitor::on_bytes(std::uint32_t session, sim::SimTime now,
                                   std::uint64_t bytes) {
   State* st = feed_target(session, now);
   if (st != nullptr) st->cur.bytes += bytes;
-}
-
-void ConformanceMonitor::on_playout_late(std::uint32_t session, sim::SimTime now) {
-  State* st = feed_target(session, now);
-  if (st == nullptr) return;
-  ++st->cur.late;
-  ++st->late_units;
 }
 
 void ConformanceMonitor::roll(State& st, std::int64_t now_ns) {
@@ -314,20 +305,17 @@ void ConformanceMonitor::update_budget(State& st, std::int64_t at_ns, const Wind
     st.in_breach = true;
     ++rep.breaches;
     if (rep.first_breach_ns < 0) rep.first_breach_ns = at_ns;
-    trace().instant(TraceCategory::kConformance, "qos.breach", when, host, sid,
-                    rep.budget_consumed, v.worst());
+    trace("qos.breach", when, rep.contract, rep.budget_consumed, v.worst());
     if (repo_ != nullptr) repo_->record({host, sid, metrics::kQosBreach}, when, 1.0);
   } else if (st.in_breach && st.consecutive_ok >= kBreachExitWindows) {
     st.in_breach = false;
     ++rep.recoveries;
-    trace().instant(TraceCategory::kConformance, "qos.recovery", when, host, sid,
-                    rep.budget_consumed);
+    trace("qos.recovery", when, rep.contract, rep.budget_consumed);
     if (repo_ != nullptr) repo_->record({host, sid, metrics::kQosRecovery}, when, 1.0);
   }
   if (rep.budget_consumed >= 1.0 && !st.budget_announced) {
     st.budget_announced = true;
-    trace().instant(TraceCategory::kConformance, "qos.budget_exhausted", when, host, sid,
-                    rep.budget_consumed);
+    trace("qos.budget_exhausted", when, rep.contract, rep.budget_consumed);
   }
 
   const bool burning = rep.fast_burn >= kFastBurnAlarm ||

@@ -25,6 +25,7 @@
 #include "mantts/qos_contract.hpp"
 #include "sim/time.hpp"
 #include "unites/sampler.hpp"
+#include "unites/trace.hpp"
 
 #include <cstdint>
 #include <map>
@@ -148,6 +149,9 @@ public:
 
   /// qos.* metrics land here as windows close (optional).
   void set_repository(MetricRepository* repo) { repo_ = repo; }
+  /// kConformance events land in this ring (optional: a monitor without
+  /// one records none).
+  void set_trace(TraceRecorder* ring) { trace_ = ring; }
 
   /// Register (or re-register, on resynthesis) the contract a session is
   /// held to. Re-registration keeps the window history — the session is
@@ -171,10 +175,6 @@ public:
   /// Raw delivered bytes with no unit header (continuation fragments);
   /// feeds window throughput only. Wired from the TKO delivery tap.
   void on_bytes(std::uint32_t session, sim::SimTime now, std::uint64_t bytes);
-  /// Playout buffer outcome for one unit: a late drop charges the QoE
-  /// proxy and the current window's late count.
-  void on_playout_late(std::uint32_t session, sim::SimTime now);
-
   /// Close the open window (partial, throughput ungraded), declare every
   /// still-outstanding unit lost, and freeze the report. Idempotent.
   void finalize(std::uint32_t session, sim::SimTime now);
@@ -217,8 +217,16 @@ private:
   void declare_losses(State& st, std::int64_t before_ns);
   void update_budget(State& st, std::int64_t at_ns, const WindowVerdict& v);
   void refresh_qoe(State& st);
+  /// A kConformance instant stamped with the contract's host and session.
+  void trace(const char* name, sim::SimTime when, const mantts::QosContract& c, double value,
+             const char* detail = nullptr) {
+    if (trace_ != nullptr) {
+      trace_->instant(TraceCategory::kConformance, name, when, c.host, c.session, value, detail);
+    }
+  }
 
   MetricRepository* repo_ = nullptr;
+  TraceRecorder* trace_ = nullptr;
   bool enabled_ = true;
   std::map<std::uint32_t, State> sessions_;
 };

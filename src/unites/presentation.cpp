@@ -15,16 +15,6 @@ void TextTable::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void TextTable::add_row_values(const std::vector<double>& values, int precision) {
-  std::vector<std::string> cells;
-  char buf[64];
-  for (const double v : values) {
-    std::snprintf(buf, sizeof buf, "%.*f", precision, v);
-    cells.emplace_back(buf);
-  }
-  add_row(std::move(cells));
-}
-
 std::string TextTable::render() const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t i = 0; i < headers_.size(); ++i) widths[i] = headers_[i].size();
@@ -88,20 +78,6 @@ std::string render_connection_report(const MetricRepository& repo, net::NodeId h
   }
   return "connection " + std::to_string(connection) + " @ host " + std::to_string(host) + "\n" +
          table.render();
-}
-
-std::string render_distribution_report(const MetricRepository& repo, net::NodeId host,
-                                       std::uint32_t connection) {
-  TextTable table({"metric", "count", "mean", "p50", "p90", "p99", "p99.9", "max"});
-  for (const auto& key : repo.keys_for_connection(host, connection)) {
-    const Histogram* h = repo.histogram(key);
-    if (h == nullptr || h->count() == 0) continue;
-    const auto d = analyze_histogram(*h);
-    table.add_row({key.name, std::to_string(d.count), format_si(d.mean), format_si(d.p50),
-                   format_si(d.p90), format_si(d.p99), format_si(d.p999), format_si(d.max)});
-  }
-  return "distributions, connection " + std::to_string(connection) + " @ host " +
-         std::to_string(host) + "\n" + table.render();
 }
 
 std::string render_host_report(const MetricRepository& repo, net::NodeId host) {

@@ -16,8 +16,6 @@ public:
   explicit TextTable(std::vector<std::string> headers);
 
   void add_row(std::vector<std::string> cells);
-  /// Convenience: formats doubles with `precision` decimals.
-  void add_row_values(const std::vector<double>& values, int precision = 2);
 
   [[nodiscard]] std::string render() const;
 
@@ -31,11 +29,6 @@ private:
 /// Per-connection report: one row per metric with analyze() statistics.
 [[nodiscard]] std::string render_connection_report(const MetricRepository& repo,
                                                    net::NodeId host, std::uint32_t connection);
-
-/// Per-connection percentile report: one row per histogram-backed metric
-/// with p50/p90/p99/p99.9 from the repository's distributions.
-[[nodiscard]] std::string render_distribution_report(const MetricRepository& repo,
-                                                     net::NodeId host, std::uint32_t connection);
 
 /// Per-host report: one row per (connection, metric) summary.
 [[nodiscard]] std::string render_host_report(const MetricRepository& repo, net::NodeId host);

@@ -19,11 +19,13 @@
 //    nondeterministic. Canonical exports exclude it (include_wall=false);
 //    single-run profiles may include it.
 //
-// Thread model matches TraceRecorder (DESIGN.md §9): no process-global
-// profiler. Each thread has a default instance; a shard worker installs a
-// shard-local one with ScopedProfiler, so N worlds profile into N disjoint
-// trees with no locking. Zones are a single predicted branch when the
-// current profiler is disabled or has no bound clock.
+// Thread model (DESIGN.md §11.1): no process-global profiler. Unlike the
+// trace ring, which each World owns, the profiler is reached per thread
+// through Profiler::current(), which the repository benchmark calls: each
+// thread has a default instance, and a shard worker installs a shard-local
+// one with ScopedProfiler, so N worlds on N threads profile into N
+// disjoint trees with no locking. Zones are a single predicted branch
+// when the current profiler is disabled or has no bound clock.
 #pragma once
 
 #include "sim/time.hpp"
@@ -201,7 +203,7 @@ private:
 };
 
 /// RAII install of a profiler as the calling thread's current one (shard
-/// isolation, mirroring ScopedTraceRecorder).
+/// isolation).
 class ScopedProfiler {
 public:
   explicit ScopedProfiler(Profiler& p) : prev_(Profiler::install(&p)) {}

@@ -41,12 +41,6 @@ std::uint64_t ResourceSnapshot::total_allocations() const {
   return n;
 }
 
-std::uint64_t ResourceSnapshot::total_allocated_bytes() const {
-  std::uint64_t n = 0;
-  for (const auto& h : hosts) n += h.pool.allocated_bytes;
-  return n;
-}
-
 std::uint64_t ResourceSnapshot::pool_high_water_bytes() const {
   std::uint64_t n = 0;
   for (const auto& h : hosts) n += h.pool.high_water_bytes;

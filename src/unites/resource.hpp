@@ -58,7 +58,6 @@ struct ResourceSnapshot {
   [[nodiscard]] std::uint64_t total_copies() const;
   [[nodiscard]] std::uint64_t total_copied_bytes() const;
   [[nodiscard]] std::uint64_t total_allocations() const;
-  [[nodiscard]] std::uint64_t total_allocated_bytes() const;
   [[nodiscard]] std::uint64_t pool_high_water_bytes() const;     ///< sum of per-host peaks
   [[nodiscard]] std::uint64_t session_live_bytes() const;        ///< sum of session gauges
   [[nodiscard]] std::uint64_t session_high_water_bytes() const;  ///< sum of session peaks

@@ -14,24 +14,6 @@ const char* to_string(TraceCategory c) {
   return "?";
 }
 
-namespace {
-// Thread-scoped override installed by ScopedTraceRecorder; nullptr means
-// "use the thread's default instance".
-thread_local TraceRecorder* tls_recorder = nullptr;
-}  // namespace
-
-TraceRecorder& TraceRecorder::current() {
-  if (tls_recorder != nullptr) return *tls_recorder;
-  thread_local TraceRecorder thread_default;
-  return thread_default;
-}
-
-TraceRecorder* TraceRecorder::install(TraceRecorder* r) {
-  TraceRecorder* prev = tls_recorder;
-  tls_recorder = r;
-  return prev;
-}
-
 void TraceRecorder::enable(std::size_t capacity) {
   capacity_ = capacity == 0 ? 1 : capacity;
   ring_.clear();
@@ -61,12 +43,6 @@ std::vector<TraceEvent> TraceRecorder::snapshot() const {
     out.push_back(ring_[(head_ + i) % ring_.size()]);
   }
   return out;
-}
-
-void TraceRecorder::clear() {
-  ring_.clear();
-  head_ = 0;
-  emitted_ = 0;
 }
 
 }  // namespace adaptive::unites

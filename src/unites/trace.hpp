@@ -1,20 +1,22 @@
 // Structured event tracing: a bounded ring buffer of protocol events.
 //
 // Every subsystem (MANTTS negotiation, TKO synthesis and reliability, the
-// network links) emits TraceEvents through the *current* recorder, so one
-// packet's lifecycle — submit, synthesize, transmit, retransmit, deliver —
-// is reconstructable from a single timeline. The recorder is off by
-// default and each emit site costs exactly one predicted branch while
-// disabled, so uninstrumented runs pay nothing. Snapshots export to the
-// Chrome trace_event format (chrome://tracing, Perfetto) via
-// unites/export.hpp.
+// network links) emits TraceEvents into its World's ring, so one packet's
+// lifecycle — submit, synthesize, transmit, retransmit, deliver — is
+// reconstructable from a single timeline. Snapshots export to the Chrome
+// trace_event format (chrome://tracing, Perfetto) via unites/export.hpp.
 //
-// Thread model (DESIGN.md §9): there is no process-global recorder. Each
-// thread has its own default recorder, and a shard worker can install a
-// shard-local recorder with ScopedTraceRecorder, so N worlds running on N
-// threads record into N disjoint rings with no locking and no
-// cross-contamination. A single recorder instance is still deliberately
-// not thread-safe — one recorder, one thread.
+// Ownership (DESIGN.md §9): each net::Network owns one recorder, and World
+// exposes it as World::trace(). An emitter reaches it through the network,
+// host or session it already holds, and stamps its own identity
+// (category, clock, node, session) in one helper. The recorder is off
+// until enable(); while it is off, a site costs the inline loads that
+// reach the ring and one predicted branch (a mechanism's or a SourceApp's
+// site adds one virtual call through its session), so uninstrumented runs
+// pay next to nothing. There is no thread-local or process-global
+// recorder: N Worlds on N threads, or on one thread, record into N
+// disjoint rings. A single recorder instance is not thread-safe — one
+// World, one thread at a time.
 #pragma once
 
 #include "net/packet.hpp"
@@ -42,16 +44,6 @@ struct TraceEvent {
 class TraceRecorder {
 public:
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
-
-  /// The calling thread's current recorder: the innermost recorder
-  /// installed with ScopedTraceRecorder, else the thread's own default
-  /// instance. Every emit site records here.
-  [[nodiscard]] static TraceRecorder& current();
-
-  /// Install `r` (may be nullptr = revert to the thread default) as the
-  /// calling thread's current recorder; returns the previous override.
-  /// Prefer ScopedTraceRecorder.
-  static TraceRecorder* install(TraceRecorder* r);
 
   /// Start recording (clears any previous events). The ring holds the
   /// most recent `capacity` events; older ones are overwritten.
@@ -83,7 +75,6 @@ public:
 
   /// Retained events in emission order (oldest first).
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
-  void clear();
 
 private:
   void push(TraceEvent&& e);
@@ -94,22 +85,5 @@ private:
   std::uint64_t emitted_ = 0;
   bool enabled_ = false;
 };
-
-/// RAII install of a recorder as the calling thread's current one. The
-/// shard runner wraps each shard in one of these so every world's events
-/// land in that shard's private ring.
-class ScopedTraceRecorder {
-public:
-  explicit ScopedTraceRecorder(TraceRecorder& r) : prev_(TraceRecorder::install(&r)) {}
-  ~ScopedTraceRecorder() { TraceRecorder::install(prev_); }
-  ScopedTraceRecorder(const ScopedTraceRecorder&) = delete;
-  ScopedTraceRecorder& operator=(const ScopedTraceRecorder&) = delete;
-
-private:
-  TraceRecorder* prev_;
-};
-
-/// Shorthand for the current thread's recorder: unites::trace().instant(...).
-[[nodiscard]] inline TraceRecorder& trace() { return TraceRecorder::current(); }
 
 }  // namespace adaptive::unites

@@ -47,7 +47,6 @@ namespace {
 sim::ChaosProfile wan_profile() {
   sim::ChaosProfile p;
   p.link_count = 3;
-  p.host_count = 4;
   p.horizon_sec = 8.0;
   p.max_faults = 6;
   return p;
@@ -77,7 +76,7 @@ TEST(ChaosPlan, PlansRespectTheProfileBounds) {
       EXPECT_LT(f.link, prof.link_count);
       EXPECT_GT(f.at, sim::SimTime::zero());
       EXPECT_GT(f.duration, sim::SimTime::zero());
-      // No partitions unless the profile opts in.
+      // Partitions are scripted-only: the generator never draws one.
       EXPECT_NE(f.kind, sim::FaultKind::kPartition);
       // Every window closes inside the horizon, leaving the tail free for
       // recovery (flaps count their whole episode train).

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <string>
@@ -392,6 +393,37 @@ TEST(FaultInjector, BurstEpisodeRestoresTheSavedLinkConfig) {
   EXPECT_DOUBLE_EQ(world.network().link(fwd).config().burst_error_rate,
                    before.burst_error_rate);
   EXPECT_DOUBLE_EQ(world.network().link(fwd).config().p_good_to_bad, before.p_good_to_bad);
+}
+
+// A partition ends by restoring what it took down, not more: the mobile
+// host starts with one of its four attachments up, and the idle three must
+// stay down after the partition (they used to come back up, leaving the
+// host multi-homed behind the mobility controller's back).
+TEST(FaultInjector, PartitionRestoresOnlyThePairsItFoundUp) {
+  World world([](sim::EventScheduler& s) { return net::make_mobile_wan(s, 4, 0, 1); });
+  const auto& attachments = world.topology().attachments;
+  ASSERT_EQ(attachments.size(), 4u);
+  auto up_now = [&] {
+    std::vector<bool> up;
+    for (const net::LinkId fwd : attachments) {
+      EXPECT_EQ(world.network().link(fwd).is_up(), world.network().link(fwd ^ 1u).is_up());
+      up.push_back(world.network().link(fwd).is_up());
+    }
+    return up;
+  };
+  const std::vector<bool> before = up_now();
+  ASSERT_EQ(std::count(before.begin(), before.end(), true), 1);
+
+  net::FaultInjector injector(world.network(), world.topology().scenario_links,
+                              world.topology().hosts);
+  injector.arm(sim::parse_fault_plan("partition@1+1:node=0"));
+  world.run_for(sim::SimTime::milliseconds(1500));
+  const std::vector<bool> during = up_now();
+  EXPECT_EQ(std::count(during.begin(), during.end(), true), 0);
+
+  world.run_for(sim::SimTime::seconds(1));
+  EXPECT_EQ(up_now(), before);
+  EXPECT_EQ(injector.stats().episodes_ended, 1u);
 }
 
 TEST(FaultInjector, UnresolvableTargetsAreCountedNotFatal) {

@@ -2,10 +2,13 @@
 // seed set, a parallel sweep's merged UNITES repository and trace stream
 // are byte-identical to the serial run's — metric by metric, histogram
 // bucket by histogram bucket, trace event by trace event. Plus the
-// shared-state regression tests for the global state that had to be
-// eliminated to get there (process-global TraceRecorder), and the
+// shared-state regression tests for the ambient state that had to be
+// eliminated to get there (a process-global, later thread-local, trace
+// recorder; now each World owns its ring), and the
 // ShardRunner/Rng::fork(stream) building blocks.
 #include "adaptive/sweep.hpp"
+#include "app/application.hpp"
+#include "app/workloads.hpp"
 #include "sim/shard_runner.hpp"
 #include "unites/export.hpp"
 
@@ -363,66 +366,81 @@ TEST(Rng, ForkByStreamIsConstAndOrderIndependent) {
 // Shared-state regressions: the global state the engine had to eliminate
 // ---------------------------------------------------------------------------
 
-// Pre-fix, TraceRecorder::global() was one process-wide ring: two worlds
-// tracing on two threads interleaved into a single buffer and the merge
-// could never be shard-order independent. Now every shard installs its own
-// recorder and sees exactly its own events.
+// A MANTTS-opened file transfer over the congested WAN on its own World,
+// with the World's trace ring enabled right after construction: every
+// emitter (links, transport, mechanisms, synthesizer, MANTTS, conformance,
+// apps) records into that one ring.
+class TracedTransfer {
+public:
+  explicit TracedTransfer(std::uint64_t seed)
+      : world_([seed](sim::EventScheduler& s) { return net::make_congested_wan(s, 2, seed); }),
+        sink_(world_.host(1).timers()) {
+    world_.trace().enable(1 << 20);  // no ring wrap
+    world_.transport(1).set_acceptor([this](tko::TransportSession& s) { sink_.attach(s); });
+    app::Workload wl = app::make_workload(app::Table1App::kFileTransfer, seed, 0.2);
+    wl.acd.remotes = {world_.transport_address(1)};
+    model_ = std::move(wl.model);
+    world_.mantts(0).open_session(wl.acd, [this](mantts::MantttsEntity::OpenResult r) {
+      if (r.session == nullptr) return;
+      source_ = std::make_unique<app::SourceApp>(*r.session, std::move(model_),
+                                                 world_.host(0).timers(), sim::SimTime::seconds(2));
+      source_->start();
+    });
+  }
+
+  void step(sim::SimTime dt) { world_.run_for(dt); }
+  [[nodiscard]] std::vector<unites::TraceEvent> trace() { return world_.trace().snapshot(); }
+  [[nodiscard]] std::uint64_t units_received() const { return sink_.stats().units_received; }
+
+private:
+  World world_;
+  app::SinkApp sink_;
+  std::unique_ptr<app::TrafficModel> model_;
+  std::unique_ptr<app::SourceApp> source_;
+};
+
+constexpr sim::SimTime kTransferStep = sim::SimTime::milliseconds(50);
+constexpr int kTransferSteps = 80;  // 4 s: the 2 s transfer plus its drain
+
+std::vector<unites::TraceEvent> traced_transfer_alone(std::uint64_t seed) {
+  TracedTransfer t(seed);
+  for (int i = 0; i < kTransferSteps; ++i) t.step(kTransferStep);
+  EXPECT_GT(t.units_received(), 0u);
+  return t.trace();
+}
+
+// Each World owns its ring, so two Worlds stepped alternately on one thread
+// each record exactly what they record when run alone. (With one recorder
+// per thread, both Worlds wrote into the thread's ring.)
+TEST(SharedStateRegression, TwoWorldsSteppedOnOneThreadKeepTheirOwnRings) {
+  const auto alone_a = traced_transfer_alone(11);
+  const auto alone_b = traced_transfer_alone(12);
+  ASSERT_FALSE(alone_a.empty());
+  ASSERT_NE(trace_digest(alone_a), trace_digest(alone_b));
+
+  TracedTransfer a(11);
+  TracedTransfer b(12);
+  for (int i = 0; i < kTransferSteps; ++i) {
+    a.step(kTransferStep);
+    b.step(kTransferStep);
+  }
+  expect_traces_identical(a.trace(), alone_a);
+  expect_traces_identical(b.trace(), alone_b);
+}
+
+// Two Worlds tracing on two threads at once record into two disjoint rings:
+// each ring equals the one its World records alone.
 TEST(SharedStateRegression, TraceRecordersAreShardIsolatedAcrossThreads) {
-  constexpr int kPerThread = 5000;
-  auto worker = [](std::uint32_t session, std::vector<unites::TraceEvent>* out) {
-    unites::TraceRecorder recorder;
-    recorder.enable();
-    unites::ScopedTraceRecorder scoped(recorder);
-    for (int i = 0; i < kPerThread; ++i) {
-      unites::trace().instant(unites::TraceCategory::kSim, "isolation.test",
-                              sim::SimTime::nanoseconds(i), 0, session,
-                              static_cast<double>(i));
-    }
-    *out = recorder.snapshot();
-  };
+  const auto alone_a = traced_transfer_alone(21);
+  const auto alone_b = traced_transfer_alone(22);
   std::vector<unites::TraceEvent> a, b;
-  std::thread ta(worker, 1u, &a);
-  std::thread tb(worker, 2u, &b);
+  std::thread ta([&a] { a = traced_transfer_alone(21); });
+  std::thread tb([&b] { b = traced_transfer_alone(22); });
   ta.join();
   tb.join();
-
-  ASSERT_EQ(a.size(), static_cast<std::size_t>(kPerThread));
-  ASSERT_EQ(b.size(), static_cast<std::size_t>(kPerThread));
-  for (int i = 0; i < kPerThread; ++i) {
-    EXPECT_EQ(a[i].session, 1u);
-    EXPECT_EQ(b[i].session, 2u);
-    EXPECT_EQ(a[i].value, static_cast<double>(i));  // in-order, nothing foreign
-    EXPECT_EQ(b[i].value, static_cast<double>(i));
-  }
-}
-
-TEST(SharedStateRegression, ScopedTraceRecorderRestoresThePreviousRecorder) {
-  unites::TraceRecorder outer;
-  outer.enable();
-  unites::ScopedTraceRecorder outer_scope(outer);
-  unites::trace().instant(unites::TraceCategory::kSim, "outer", sim::SimTime::zero());
-  {
-    unites::TraceRecorder inner;
-    inner.enable();
-    unites::ScopedTraceRecorder inner_scope(inner);
-    unites::trace().instant(unites::TraceCategory::kSim, "inner", sim::SimTime::zero());
-    EXPECT_EQ(inner.size(), 1u);
-  }
-  unites::trace().instant(unites::TraceCategory::kSim, "outer-again", sim::SimTime::zero());
-  EXPECT_EQ(outer.size(), 2u);  // inner event did not leak here
-}
-
-TEST(SharedStateRegression, ThreadDefaultRecorderDoesNotLeakAcrossThreads) {
-  // Enabling tracing on a worker thread's default recorder must not flip
-  // the main thread's recorder on (pre-fix they were the same object).
-  ASSERT_FALSE(unites::trace().enabled());
-  std::thread([] {
-    unites::trace().enable();
-    unites::trace().instant(unites::TraceCategory::kSim, "worker-only", sim::SimTime::zero());
-    EXPECT_EQ(unites::trace().size(), 1u);
-  }).join();
-  EXPECT_FALSE(unites::trace().enabled());
-  EXPECT_EQ(unites::trace().size(), 0u);
+  ASSERT_FALSE(a.empty());
+  expect_traces_identical(a, alone_a);
+  expect_traces_identical(b, alone_b);
 }
 
 // Audit guard: BufferPool stats are per-host instance state; two worlds

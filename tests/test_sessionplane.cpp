@@ -591,12 +591,10 @@ TEST(CitySoak, ChurnUnderChaosTearsDownToTheExactBaseline) {
 
   sim::ChaosProfile prof;
   prof.link_count = world.topology().scenario_links.size();
-  prof.host_count = world.topology().hosts.size();
   prof.horizon_sec = 4.0;  // faults end before the drain starts
   prof.min_faults = 2;
   prof.max_faults = 4;
   prof.max_outage_sec = 0.5;
-  prof.allow_partition = false;
   opt.faults = sim::ChaosPlanGenerator(prof).generate(opt.seed);
 
   const auto baseline = world.resource_snapshot();

@@ -367,14 +367,12 @@ TEST(Spans, MetricClassSurvivesRepositoryMergeAndExport) {
 // messages submitted before and delivered after the reconfiguration still
 // assemble into closed spans, and the profile shows the segue zone.
 TEST(SpansEndToEnd, SpansSurviveASegueAndRetransmissionsUnderFailover) {
-  unites::TraceRecorder recorder;
-  recorder.enable(1 << 20);  // hold the whole 12s run; no ring wrap
-  unites::ScopedTraceRecorder scoped(recorder);
   unites::Profiler profiler;
   profiler.enable();
   unites::ScopedProfiler scoped_prof(profiler);
 
   World world([](sim::EventScheduler& s) { return net::make_dual_path_wan(s, 27); });
+  world.trace().enable(1 << 20);  // hold the whole 12s run; no ring wrap
   RunOptions opt;
   opt.application = app::Table1App::kManufacturingControl;
   opt.mode = RunOptions::Mode::kMantttsAdaptive;
@@ -386,7 +384,7 @@ TEST(SpansEndToEnd, SpansSurviveASegueAndRetransmissionsUnderFailover) {
   const RunOutcome out = run_scenario(world, opt);
   ASSERT_GT(out.reconfigurations, 0u);  // the segue actually happened
 
-  const auto spans = unites::assemble_spans(recorder.snapshot());
+  const auto spans = unites::assemble_spans(world.trace().snapshot());
   ASSERT_FALSE(spans.empty());
   std::size_t closed = 0, with_milestones = 0;
   for (const auto& s : spans) {

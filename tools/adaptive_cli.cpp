@@ -575,14 +575,13 @@ int main(int argc, char** argv) {
     return violations > 0 ? 2 : 0;
   }
 
-  // Enable the structured trace before any simulation object exists so
-  // session synthesis and connection setup are on the timeline too.
-  if (!cli->trace_out.empty() || !cli->span_out.empty()) unites::trace().enable();
-  // Same for the whitebox profiler: the World binds its scheduler as the
-  // virtual clock at construction.
+  // Enable the whitebox profiler before the World exists: the World binds
+  // its scheduler as the virtual clock at construction.
   if (!cli->profile_out.empty()) unites::Profiler::current().enable();
 
   World world(factory);
+  // Building a World records no event, so the trace starts complete here.
+  if (!cli->trace_out.empty() || !cli->span_out.empty()) world.trace().enable();
   if (cli->fail_link_at >= 0.0 && !world.topology().scenario_links.empty()) {
     world.scheduler().schedule_after(sim::SimTime::seconds(cli->fail_link_at), [&world] {
       std::printf("[event] failing scenario link 0\n");
@@ -665,10 +664,6 @@ int main(int argc, char** argv) {
     // The session is closed by now; report against whatever the
     // repository holds for the sender host.
     std::printf("\nUNITES report (sender host):\n");
-    for (const auto& key : world.repository().keys_for_host(world.host(0).node_id())) {
-      (void)key;
-      break;
-    }
     // Reports are per-connection; use the most recent session's id space.
     // For simplicity report on every connection the repository saw.
     std::set<std::uint32_t> conns;
@@ -684,12 +679,12 @@ int main(int argc, char** argv) {
 
   if (!cli->trace_out.empty()) {
     if (!export_file(cli->trace_out, "trace",
-                     [](std::ostream& o) { unites::write_chrome_trace(o, unites::trace()); })) {
+                     [&](std::ostream& o) { unites::write_chrome_trace(o, world.trace()); })) {
       return 1;
     }
     std::printf("\ntrace     : %zu events -> %s (%llu dropped; open in Perfetto)\n",
-                unites::trace().size(), cli->trace_out.c_str(),
-                static_cast<unsigned long long>(unites::trace().dropped()));
+                world.trace().size(), cli->trace_out.c_str(),
+                static_cast<unsigned long long>(world.trace().dropped()));
   }
   if (!cli->metrics_out.empty()) {
     if (!export_file(cli->metrics_out, "metrics", [&](std::ostream& o) {
@@ -714,7 +709,7 @@ int main(int argc, char** argv) {
                 cli->profile_out.c_str());
   }
   if (!cli->span_out.empty()) {
-    auto spans = unites::assemble_spans(unites::trace().snapshot());
+    auto spans = unites::assemble_spans(world.trace().snapshot());
     for (auto& s : spans) s.seed = cli->seed;
     if (!export_file(cli->span_out, "span",
                      [&](std::ostream& o) { unites::write_spans_chrome(o, spans); })) {
