@@ -5,10 +5,13 @@
 // SMDS-sized 9188-byte MTU), where per-byte datapath cost, not per-packet
 // protocol chatter, dominates. A behavioural digest of every deterministic
 // virtual-time metric must equal the pinned digest for the workload. The
-// pins were recorded while the pre-refactor copying datapath and
-// binary-heap event queue still ran beside the zero-copy path and both
-// produced them bit-for-bit; EXPERIMENTS.md E-X10 keeps that A/B history
-// (28.2 -> 1.0 copies/msg, 2.0-2.5x wall).
+// pins were re-recorded when bulk sources began waiting on the session's
+// writable upcall (one window queued per session instead of the whole
+// transfer), which moved only the PDU, retransmission, latency, event and
+// end-time fields; units, bytes, drops and copies did not move. Before
+// that, the copying datapath and binary-heap event queue had matched the
+// zero-copy path bit-for-bit; EXPERIMENTS.md E-X10 keeps that A/B history
+// (28.2 -> 1.0 copies/msg, 2.0-2.5x wall) and E-X20 the re-pin.
 //
 // Gates (non-zero exit on failure):
 //   * digest == the pinned digest (--smoke or full workload)
@@ -37,14 +40,14 @@ using namespace adaptive;
 
 namespace {
 
-/// Behavioural digests of the two workloads, recorded at the last commit
-/// that could still run the legacy datapath, where both modes matched.
+/// Behavioural digests of the two workloads with bulk sources held to one
+/// window of queued data per session (see the header).
 constexpr const char* kSmokeDigest =
-    "units=64/64 bytes=1048576 pdus=192/24 drops=0 retx=0 lat(n=64,sum=6189896226ns) "
+    "units=64/64 bytes=1048576 pdus=192/24 drops=0 retx=0 lat(n=64,sum=3494432863ns) "
     "events=2858 now=1300000000";
 constexpr const char* kFullDigest =
-    "units=8192/8192 bytes=134217728 pdus=24745/3269 drops=0 retx=169 "
-    "lat(n=8192,sum=30540861321490ns) events=371670 now=8400000000";
+    "units=8192/8192 bytes=134217728 pdus=24644/3192 drops=0 retx=68 "
+    "lat(n=8192,sum=680039991855ns) events=369185 now=8200000000";
 
 struct PhaseResult {
   std::string digest;       ///< deterministic virtual-time metrics, printable

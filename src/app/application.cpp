@@ -42,6 +42,8 @@ SourceApp::SourceApp(tko::Session& session, std::unique_ptr<TrafficModel> model,
   timer_ = std::make_unique<tko::Event>(timers_, [this] { emit_next(); });
 }
 
+SourceApp::~SourceApp() { disarm_writable(); }
+
 void SourceApp::start() {
   if (running_) return;
   running_ = true;
@@ -53,6 +55,13 @@ void SourceApp::stop() {
   running_ = false;
   finished_ = true;
   timer_->cancel();
+  disarm_writable();
+}
+
+void SourceApp::disarm_writable() {
+  if (!awaiting_writable_) return;
+  awaiting_writable_ = false;
+  session_.set_on_writable(nullptr);
 }
 
 void SourceApp::emit_next() {
@@ -89,9 +98,19 @@ void SourceApp::emit_next() {
   };
   if (unit->gap <= sim::SimTime::zero()) {
     send_unit(unit->bytes);
-    // Avoid unbounded same-instant recursion for bulk models: chain via a
-    // zero-delay event so the scheduler stays in control.
-    timer_->schedule(sim::SimTime::zero());
+    // Back-to-back units go as fast as the session accepts them: chain via
+    // a zero-delay event (no unbounded same-instant recursion) while it is
+    // writable, else wait for its writable upcall to re-arm that event.
+    // The session then queues at most one window plus this unit.
+    if (session_.writable()) {
+      timer_->schedule(sim::SimTime::zero());
+      return;
+    }
+    awaiting_writable_ = true;
+    session_.set_on_writable([this] {
+      awaiting_writable_ = false;
+      timer_->schedule(sim::SimTime::zero());
+    });
     return;
   }
   timer_->schedule(unit->gap);

@@ -42,9 +42,14 @@ struct SourceStats {
 class SourceApp {
 public:
   /// Drives `session` with `model` once started. Stops after `duration`
-  /// (infinite() = until the model is exhausted) or stop().
+  /// (infinite() = until the model is exhausted) or stop(). Back-to-back
+  /// units (gap <= 0, i.e. bulk) wait while the session is not writable();
+  /// paced units never do.
   SourceApp(tko::Session& session, std::unique_ptr<TrafficModel> model,
             os::TimerFacility& timers, sim::SimTime duration = sim::SimTime::infinity());
+  ~SourceApp();
+  SourceApp(const SourceApp&) = delete;
+  SourceApp& operator=(const SourceApp&) = delete;
 
   void start();
   void stop();
@@ -58,6 +63,7 @@ public:
 
 private:
   void emit_next();
+  void disarm_writable();
 
   tko::Session& session_;
   std::unique_ptr<TrafficModel> model_;
@@ -68,6 +74,7 @@ private:
   std::uint32_t next_id_ = 1;
   bool running_ = false;
   bool finished_ = false;
+  bool awaiting_writable_ = false;  ///< the session's writable upcall is armed
   SourceStats stats_;
   SendFn on_send_;
 };

@@ -41,8 +41,24 @@ public:
   Session& operator=(const Session&) = delete;
 
   /// Queue application data for transmission. Returns false if the session
-  /// cannot accept data (closed/aborted).
+  /// cannot accept data (closed/aborted). Accepts whatever it is given
+  /// otherwise: a producer that wants bounded buffering consults
+  /// writable().
   virtual bool send(Message&& m) = 0;
+
+  /// False while the session's send buffer already holds a full window of
+  /// queued data; true again once the transport drains it, and whenever
+  /// send() would refuse (so a waiting producer learns of a close from
+  /// that refusal).
+  [[nodiscard]] virtual bool writable() const = 0;
+
+  /// One-shot upcall fired when a non-writable session becomes writable,
+  /// or when it closes or aborts while armed. It runs inside protocol
+  /// processing (an ack draining the queue), so it must not call send()
+  /// synchronously: schedule the next send instead. Pass nullptr to
+  /// disarm.
+  using WritableFn = std::function<void()>;
+  void set_on_writable(WritableFn fn) { on_writable_ = std::move(fn); }
 
   /// Begin connection establishment (no-op for connectionless sessions).
   virtual void connect() = 0;
@@ -99,6 +115,13 @@ protected:
   void notify_state(SessionState s) {
     if (on_state_) on_state_(s);
   }
+  /// Fire and disarm the writable upcall, if one is armed.
+  void release_writable() {
+    if (!on_writable_) return;
+    WritableFn fn = std::move(on_writable_);
+    on_writable_ = nullptr;
+    fn();
+  }
 
   net::Address local_;
   std::vector<net::Address> remotes_;
@@ -107,6 +130,7 @@ private:
   DeliverFn deliver_;
   DeliveryTapFn delivery_tap_;
   StateFn on_state_;
+  WritableFn on_writable_;
 };
 
 }  // namespace adaptive::tko

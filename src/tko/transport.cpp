@@ -180,6 +180,17 @@ bool TransportSession::send(Message&& m) {
   return true;
 }
 
+bool TransportSession::writable() const {
+  if (state_ == SessionState::kClosing || state_ == SessionState::kClosed ||
+      state_ == SessionState::kAborted) {
+    return true;  // send() refuses: there is no room to wait for
+  }
+  // The send buffer is one window of the live SCS. A windowless (rate- or
+  // un-controlled) SCS still buffers one segment, so the bound is never 0.
+  const std::size_t window = std::max<std::size_t>(cfg_.window_pdus, 1);
+  return tx_queue_bytes_ < window * cfg_.segment_bytes;
+}
+
 void TransportSession::close(bool graceful) {
   if (state_ == SessionState::kClosed || state_ == SessionState::kAborted) return;
   if (state_ == SessionState::kIdle) {
@@ -189,6 +200,7 @@ void TransportSession::close(bool graceful) {
     return;
   }
   state_ = SessionState::kClosing;
+  release_writable();  // a waiting producer's next send() is refused
   if (!graceful) {
     tx_queue_.clear();
     tx_queue_bytes_ = 0;
@@ -238,6 +250,7 @@ void TransportSession::pump() {
           pump();
         });
       }
+      if (writable()) release_writable();
       return;
     }
     Message chunk = std::move(tx_queue_.front());
@@ -248,6 +261,7 @@ void TransportSession::pump() {
     tx.on_pdu_sent(bytes);
     stats_.bytes_sent += bytes;
   }
+  if (writable()) release_writable();
   check_close_drain();
   note_memory();
 }
@@ -553,6 +567,7 @@ void TransportSession::connection_closed(bool aborted) {
     }
   }
   notify_state(state_);
+  release_writable();
   proto_.note_session_closed(id_);
 }
 

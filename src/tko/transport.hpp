@@ -95,6 +95,7 @@ public:
 
   // ---- Session interface (application-facing) -------------------------
   bool send(Message&& m) override;
+  [[nodiscard]] bool writable() const override;
   void connect() override;
   void close(bool graceful = true) override;
   [[nodiscard]] SessionState state() const override { return state_; }

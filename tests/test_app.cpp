@@ -151,6 +151,144 @@ TEST(SourceSink, SegmentedUnitsCountContinuationBytes) {
   EXPECT_EQ(sink.stats().bytes_received, 8192u);
 }
 
+// ---------------------------------------------------------------------------
+// Back-to-back (bulk) sources wait on the session's writable upcall
+// ---------------------------------------------------------------------------
+
+// An implicit, message-oriented, selective-repeat SCS with a small window
+// (8 x 1 KB), so a 4 KB-unit bulk source fills the send buffer in two
+// units.
+tko::sa::SessionConfig small_window_bulk_config() {
+  auto cfg = tko::sa::reliable_bulk_config();
+  cfg.connection = tko::sa::ConnectionScheme::kImplicit;
+  cfg.message_oriented = true;
+  cfg.window_pdus = 8;
+  cfg.segment_bytes = 1024;
+  return cfg;
+}
+
+constexpr std::size_t kBulkBytes = 1 << 20;
+constexpr std::size_t kBulkUnit = 4096;
+constexpr std::size_t kTsduPrefix = 4;  // message-oriented length prefix
+
+class SourceBackpressure : public ::testing::Test {
+protected:
+  SourceBackpressure()
+      : world_([](sim::EventScheduler& s) { return net::make_ethernet_lan(s, 2, 13); }),
+        sink_(world_.host(1).timers()) {
+    world_.transport(1).set_acceptor([this](tko::TransportSession& s) { sink_.attach(s); });
+  }
+
+  tko::TransportSession& open(const tko::sa::SessionConfig& cfg) {
+    return world_.transport(0).open({world_.transport_address(1)}, cfg);
+  }
+  void set_link_up(bool up) {
+    world_.network().set_link_pair_up(world_.topology().scenario_links[0], up);
+  }
+  std::unique_ptr<SourceApp> bulk_source(tko::Session& session) {
+    return std::make_unique<SourceApp>(session,
+                                       std::make_unique<BulkModel>(kBulkBytes, kBulkUnit),
+                                       world_.host(0).timers());
+  }
+  void expect_whole_transfer_in_order() const {
+    const auto& st = sink_.stats();
+    EXPECT_EQ(st.units_received, kBulkBytes / kBulkUnit);
+    EXPECT_EQ(st.bytes_received, kBulkBytes);
+    EXPECT_EQ(st.highest_id, kBulkBytes / kBulkUnit);
+    EXPECT_EQ(st.misordered, 0u);
+    EXPECT_EQ(st.duplicates, 0u);
+  }
+
+  World world_;
+  SinkApp sink_;
+};
+
+TEST_F(SourceBackpressure, BulkSourceOnADownLinkPinsTwoWindowsPlusOneUnitThenDeliversInOrder) {
+  const auto cfg = small_window_bulk_config();
+  const std::size_t window = std::size_t{cfg.window_pdus} * cfg.segment_bytes;
+  auto& session = open(cfg);
+  auto source = bulk_source(session);
+  source->start();
+  // The link fails once the receiver has its passive session (an implicit
+  // open whose every piggybacked SCS is lost never opens at all).
+  world_.run_for(sim::SimTime::milliseconds(10));
+  ASSERT_GT(sink_.stats().units_received, 0u);
+  set_link_up(false);
+  world_.run_for(sim::SimTime::seconds(1));
+  // The retransmission buffer holds the window sent into the outage; the
+  // send buffer holds at most one window plus the unit that filled it. The
+  // source then waits: the rest of the megabyte is not yet submitted.
+  const std::uint64_t sent_in_outage = source->stats().units_sent;
+  EXPECT_FALSE(session.writable());
+  EXPECT_LE(session.live_bytes(), window + window + kBulkUnit + kTsduPrefix);
+  world_.run_for(sim::SimTime::seconds(1));
+  EXPECT_EQ(source->stats().units_sent, sent_in_outage);
+
+  set_link_up(true);
+  world_.run_for(sim::SimTime::seconds(20));
+  EXPECT_TRUE(source->finished());
+  EXPECT_EQ(source->stats().units_sent, kBulkBytes / kBulkUnit);
+  EXPECT_EQ(source->stats().send_rejected, 0u);
+  expect_whole_transfer_in_order();
+}
+
+TEST_F(SourceBackpressure, ExplicitHandshakeSourceWaitsForEstablishmentThenCompletes) {
+  auto cfg = small_window_bulk_config();
+  cfg.connection = tko::sa::ConnectionScheme::kExplicit3Way;
+  auto& session = open(cfg);
+  auto source = bulk_source(session);
+  source->start();
+  world_.run_for(sim::SimTime::microseconds(10));
+  // Nothing can leave before the handshake: two units fill the 8 KB send
+  // buffer and the source stops submitting.
+  ASSERT_EQ(session.state(), tko::SessionState::kConnecting);
+  EXPECT_FALSE(session.writable());
+  EXPECT_EQ(source->stats().units_sent, 2u);
+
+  world_.run_for(sim::SimTime::seconds(5));
+  EXPECT_EQ(session.state(), tko::SessionState::kEstablished);
+  EXPECT_TRUE(source->finished());
+  expect_whole_transfer_in_order();
+}
+
+TEST_F(SourceBackpressure, StoppedOrDestroyedSourceIsNeverCalledBackAsItsSessionDrains) {
+  const auto cfg = small_window_bulk_config();
+  auto& kept = open(cfg);
+  auto& orphaned = open(cfg);
+  auto stopped = bulk_source(kept);
+  auto destroyed = bulk_source(orphaned);
+  stopped->start();
+  destroyed->start();
+  world_.run_for(sim::SimTime::microseconds(10));
+  ASSERT_FALSE(kept.writable());
+  ASSERT_FALSE(orphaned.writable());  // both sources wait on an armed upcall
+
+  const std::uint64_t sent = stopped->stats().units_sent;
+  stopped->stop();
+  destroyed.reset();  // its destructor disarms; a later upcall would be a use-after-free
+  world_.run_for(sim::SimTime::seconds(2));
+  EXPECT_TRUE(kept.writable());
+  EXPECT_TRUE(orphaned.writable());
+  EXPECT_EQ(stopped->stats().units_sent, sent);
+  // What was queued still drains (both sessions feed the one sink).
+  EXPECT_EQ(sink_.stats().bytes_received, 2 * sent * kBulkUnit);
+}
+
+TEST_F(SourceBackpressure, PacedSourceIgnoresTheWritableSignal) {
+  // CBR on the same stalled session queues exactly what it always did: every
+  // unit it produces, whatever writable() says.
+  set_link_up(false);
+  auto& session = open(small_window_bulk_config());
+  SourceApp source(session, std::make_unique<CbrModel>(1000, sim::SimTime::milliseconds(10)),
+                   world_.host(0).timers(), sim::SimTime::seconds(1));
+  source.start();
+  world_.run_for(sim::SimTime::seconds(2));
+  EXPECT_TRUE(source.finished());
+  EXPECT_EQ(source.stats().units_sent, 100u);
+  EXPECT_EQ(session.live_bytes(), 100u * (1000 + kTsduPrefix));
+  EXPECT_FALSE(session.writable());
+}
+
 TEST(QosEvaluator, GradesAgainstAcd) {
   mantts::Acd acd;
   acd.quantitative.max_latency = sim::SimTime::milliseconds(100);

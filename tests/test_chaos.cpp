@@ -13,8 +13,10 @@
 //    TraceEvent detail; the ring kept the dangling pointer, making sweep
 //    trace digests nondeterministic whenever fault events were traced.
 //  * A corrupted cumulative ack serially ahead of everything sent (it
-//    slipped through on a no-checksum config — chaos seed ethernet/342)
-//    reaped unacknowledged data the receiver never got: silent loss.
+//    slipped through on a no-checksum config — chaos seed ethernet/342;
+//    the corpus now replays ethernet/29156, which forges one under
+//    today's bulk traffic) reaped unacknowledged data the receiver never
+//    got: silent loss.
 #include "adaptive/scenario.hpp"
 #include "adaptive/sweep.hpp"
 #include "mantts/policy.hpp"
@@ -738,9 +740,10 @@ TEST(ChaosSeedCorpus, WatchdogSeedsStallAndRecover) {
 }
 
 TEST(ChaosSeedCorpus, WildAckSeedExercisesTheSilentLossGuard) {
-  // ethernet/342: the generated plan corrupts an ACK on a no-checksum
-  // lightweight config; pre-fix the wild cumulative ack reaped unacked
-  // data (silent loss). The guard must fire and the contract must hold.
+  // ethernet/29156: the generated plan's wire corruption forges a
+  // cumulative ack ahead of the send window; without the guard the wild
+  // ack reaps unacked data (silent loss) and the transfer stalls. The
+  // guard must fire and the contract must hold.
   for (const auto& c : load_chaos_seed_corpus()) {
     if (c.topology != "ethernet") continue;
     SCOPED_TRACE("seed " + std::to_string(c.seed));

@@ -164,6 +164,56 @@ TEST_F(TransportFixture, AbortiveCloseIsImmediateAndLossy) {
   EXPECT_LT(collector.total_bytes(), 100'000u);
 }
 
+// ---- writable signal: a send buffer of one window ---------------------------
+
+SessionConfig small_window_config() {
+  auto cfg = sa::reliable_bulk_config();
+  cfg.connection = sa::ConnectionScheme::kImplicit;
+  cfg.window_pdus = 8;
+  cfg.segment_bytes = 1024;
+  return cfg;
+}
+
+TEST_F(TransportFixture, WritableUpcallFiresOnceWhenTheSendBufferDropsBelowAWindow) {
+  auto& s = open(0, 1, small_window_config());
+  EXPECT_TRUE(s.writable());
+  s.send(Message::from_bytes(pattern(5000), &hosts[0]->buffers()));
+  EXPECT_TRUE(s.writable());  // 8 PDUs went out at once; nothing is queued
+  const auto data = pattern(20'000, 5);
+  EXPECT_TRUE(s.send(Message::from_bytes(data, &hosts[0]->buffers())));
+  EXPECT_FALSE(s.writable());  // send() still accepts everything
+  int fired = 0;
+  std::uint64_t sent_at_fire = 0;
+  s.set_on_writable([&] {
+    ++fired;
+    sent_at_fire = s.stats().bytes_sent;
+  });
+  run_for(2.0);
+  EXPECT_EQ(fired, 1);  // one-shot
+  // It fired while a window-stalled pump still had queued data, not once
+  // the queue had emptied.
+  EXPECT_LT(sent_at_fire, 25'000u);
+  EXPECT_TRUE(s.writable());
+  EXPECT_EQ(collector.total_bytes(), 25'000u);
+}
+
+TEST_F(TransportFixture, CloseReleasesAnArmedWritableUpcallOnce) {
+  for (const bool graceful : {true, false}) {
+    SCOPED_TRACE(graceful ? "graceful" : "abortive");
+    auto& s = open(0, 1, small_window_config());
+    s.send(Message::from_bytes(pattern(20'000), &hosts[0]->buffers()));
+    ASSERT_FALSE(s.writable());
+    int fired = 0;
+    s.set_on_writable([&] { ++fired; });
+    s.close(graceful);
+    EXPECT_EQ(fired, 1);
+    EXPECT_TRUE(s.writable());  // nothing to wait for: send() refuses
+    EXPECT_FALSE(s.send(Message::from_bytes(pattern(10), &hosts[0]->buffers())));
+    run_for(2.0);
+    EXPECT_EQ(fired, 1);
+  }
+}
+
 class LossyPathFixture : public TransportFixture {
 protected:
   void SetUp() override {
