@@ -114,9 +114,7 @@ public:
            static_cast<double>(cfg_.queue_capacity_packets);
   }
 
-  /// Administrative state; taking a link down drops queued and future
-  /// packets until it comes back up (route failover scenarios).
-  void set_up(bool up);
+  /// Whether the link carries traffic. Network decides it per pair.
   [[nodiscard]] bool is_up() const { return up_; }
 
   /// One-way latency for a packet of `bytes` through an idle link.
@@ -125,6 +123,11 @@ public:
   }
 
 private:
+  friend class Network;  // the one owner of link-pair state
+
+  /// Taking a link down drops queued and future packets until it comes
+  /// back up.
+  void set_up(bool up);
   void start_transmission();
   void apply_bit_errors(Packet& p);
   /// Final delivery step: applies any armed wire mutations (truncate,

@@ -55,9 +55,8 @@ void MobilityController::begin_handover(const sim::FaultSpec& spec) {
   } else {
     net_.set_link_pair_up(attachments_[from], false);  // blackout starts
   }
-  net_.monitor().record(NetEventKind::kRouteChange);
   // TraceEvent::detail must be a static-lifetime string (see
-  // FaultInjector::record), so the trace carries the mode as a literal.
+  // FaultInjector::trace), so the trace carries the mode as a literal.
   trace("net.handover.begin", static_cast<double>(to), spec.make_before_break ? "mbb" : "bbm");
   if (on_handover_begin_) on_handover_begin_(spec);
   scheduled_.push_back(net_.scheduler().schedule_after(
@@ -74,7 +73,6 @@ void MobilityController::finish_handover(const sim::FaultSpec& spec, std::size_t
   active_ = to;
   in_transition_ = false;
   ++stats_.handovers_completed;
-  net_.monitor().record(NetEventKind::kRouteChange);
   trace("net.handover.end", static_cast<double>(to), spec.make_before_break ? "mbb" : "bbm");
   if (on_handover_) on_handover_(spec);
 }
@@ -96,7 +94,6 @@ void MobilityController::apply_membership(const sim::FaultSpec& spec) {
     net_.leave_group(group_, host);
     ++stats_.leaves;
   }
-  net_.monitor().record(NetEventKind::kRouteChange);
   trace(joining ? "net.group.join" : "net.group.leave", static_cast<double>(spec.node), nullptr);
   if (on_membership_) on_membership_(host, joining);
 }

@@ -8,7 +8,11 @@
 // through Network::set_link_pair_up / join_group / leave_group, so SPF
 // and the multicast trees recompute exactly as they would for a fault —
 // the NMI then sees the new path (route_version bump) and MANTTS
-// re-synthesizes. Two handover disciplines:
+// re-synthesizes. The controller's set_link_pair_up calls are its choice
+// of attachment and nothing more: a pair a fault outage holds down (a
+// partition of the mobile host) stays down until the last hold ends, and
+// then carries traffic only if the controller still has it set up. Two
+// handover disciplines:
 //
 //  * make-before-break (mode=mbb): the target attachment comes up at the
 //    window start, both stay up for the transition window, then the old

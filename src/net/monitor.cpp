@@ -15,7 +15,6 @@ void NetworkMonitor::record(NetEventKind kind) {
       ++deliveries_;
       break;
     case NetEventKind::kRouteChange: ++route_changes_; break;
-    case NetEventKind::kFault: ++faults_; break;
   }
 }
 

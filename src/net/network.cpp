@@ -44,20 +44,44 @@ std::pair<LinkId, LinkId> Network::connect(NodeId a, NodeId b, const LinkConfig&
   };
   const LinkId fwd = make(a, b);
   const LinkId rev = make(b, a);
+  pairs_.emplace_back();
   routes_changed();
   return {fwd, rev};
 }
 
-void Network::set_link_pair_up(LinkId forward_id, bool up) {
-  if (forward_id + 1 >= links_.size()) {
-    throw std::invalid_argument("Network::set_link_pair_up: unknown link");
+Network::PairState& Network::pair_state(LinkId forward_id) {
+  if (forward_id / 2 >= pairs_.size()) {
+    throw std::invalid_argument("Network: unknown link pair");
   }
   // connect() always creates the pair adjacently: forward at even index.
+  return pairs_[forward_id / 2];
+}
+
+void Network::apply_pair(LinkId forward_id) {
+  const PairState& s = pairs_[forward_id / 2];
+  const bool carries = s.up && s.holds == 0;
   Link& f = *links_[forward_id];
-  Link& r = *links_[forward_id ^ 1u];
-  f.set_up(up);
-  r.set_up(up);
+  if (f.is_up() == carries) return;
+  f.set_up(carries);
+  links_[forward_id ^ 1u]->set_up(carries);
   routes_changed();
+}
+
+void Network::set_link_pair_up(LinkId forward_id, bool up) {
+  pair_state(forward_id).up = up;
+  apply_pair(forward_id);
+}
+
+void Network::hold_pair_down(LinkId forward_id) {
+  ++pair_state(forward_id).holds;
+  apply_pair(forward_id);
+}
+
+void Network::release_pair(LinkId forward_id) {
+  PairState& s = pair_state(forward_id);
+  if (s.holds == 0) throw std::logic_error("Network::release_pair: no hold to release");
+  --s.holds;
+  apply_pair(forward_id);
 }
 
 void Network::join_group(NodeId group, NodeId host) {

@@ -7,6 +7,13 @@
 // latency, hop list) that MANTTS Stage II consults when turning a TSC
 // into an SCS. It also owns its World's UNITES trace ring, which every
 // emitter built on this network records into.
+//
+// It is the one owner of link-pair state. A pair carries traffic only
+// while it is set up (set_link_pair_up: the topology builder, the
+// mobility controller's attachment choice, scripts) and no fault outage
+// holds it down (hold_pair_down / release_pair: the fault injector's
+// windows). Each writer changes only its own reason, so neither undoes
+// the other.
 #pragma once
 
 #include "net/link.hpp"
@@ -66,14 +73,22 @@ public:
   /// config). Returns (a->b, b->a) link ids.
   std::pair<LinkId, LinkId> connect(NodeId a, NodeId b, const LinkConfig& cfg);
 
-  /// Recompute every route now. connect/join/leave/set_link_pair_up call
-  /// it (at the close of a RouteBatch when inside one); nodes added by
-  /// add_host/add_switch get routes at the next computation.
+  /// Recompute every route now. connect/join/leave call it, and so does a
+  /// pair whose carried state flips (at the close of a RouteBatch when
+  /// inside one); nodes added by add_host/add_switch get routes at the
+  /// next computation.
   void recompute_routes();
 
   // --- dynamic behaviour -------------------------------------------------
-  /// Take both directions of a bidirectional link up or down and reroute.
+  /// Set a bidirectional link pair up or down. Both directions carry
+  /// traffic while the pair is set up and no outage holds it down.
   void set_link_pair_up(LinkId forward_id, bool up);
+
+  /// Hold the pair down for one fault outage window, whatever it is set
+  /// to; release_pair ends one hold. Releasing a pair that no hold covers
+  /// throws std::logic_error.
+  void hold_pair_down(LinkId forward_id);
+  void release_pair(LinkId forward_id);
 
   // --- multicast / broadcast ---------------------------------------------
   NodeId create_group() { return groups_.create_group(); }
@@ -136,6 +151,15 @@ public:
   [[nodiscard]] unites::TraceRecorder& trace() { return trace_; }
 
 private:
+  /// Why a link pair does or does not carry traffic.
+  struct PairState {
+    bool up = true;           ///< set_link_pair_up's last word
+    std::uint32_t holds = 0;  ///< open fault outage windows
+  };
+  [[nodiscard]] PairState& pair_state(LinkId forward_id);
+  /// Bring both links of the pair to `up && holds == 0`, rerouting only
+  /// when that flips.
+  void apply_pair(LinkId forward_id);
   /// Recompute now, or at the close of the open batch.
   void routes_changed();
   [[nodiscard]] PathSample fold_path(NodeId src, NodeId dst, std::size_t bytes,
@@ -148,6 +172,7 @@ private:
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<bool> is_host_;  ///< by node id
   std::vector<std::unique_ptr<Link>> links_;
+  std::vector<PairState> pairs_;  ///< by forward link id / 2
   Adjacency adjacency_;
   MulticastGroups groups_;
   NodeId broadcast_group_ = 0;

@@ -373,7 +373,6 @@ TEST(FaultInjector, DownEpisodeTogglesBothDirectionsAndRestores) {
   EXPECT_TRUE(world.network().link(fwd ^ 1u).is_up());
   EXPECT_EQ(injector.stats().episodes_started, 1u);
   EXPECT_EQ(injector.stats().episodes_ended, 1u);
-  EXPECT_EQ(world.network().monitor().faults(), 2u);  // begin + end events
 }
 
 TEST(FaultInjector, BurstEpisodeRestoresTheSavedLinkConfig) {
@@ -426,14 +425,58 @@ TEST(FaultInjector, PartitionRestoresOnlyThePairsItFoundUp) {
   EXPECT_EQ(injector.stats().episodes_ended, 1u);
 }
 
+// Targets resolve once, when the plan is armed: a spec of any kind that
+// names no scenario link or host is one unresolved target, and none of
+// its episodes begins, ends or reaches the trace.
 TEST(FaultInjector, UnresolvableTargetsAreCountedNotFatal) {
+  for (const char* text :
+       {"down@0.1+0.1:link=99", "flap@0.1+0.1:link=99,count=3,period=0.2",
+        "burst@0.1+0.1:link=99,ber=1e-3", "delay@0.1+0.1:link=99,add=0.01",
+        "bw@0.1+0.1:link=99,factor=0.5", "mutate@0.1+0.1:link=99,corrupt=0.1",
+        "partition@0.1+0.1:node=99"}) {
+    SCOPED_TRACE(text);
+    World world([](sim::EventScheduler& s) { return net::make_ethernet_lan(s, 2, 7); });
+    world.trace().enable();
+    net::FaultInjector injector(world.network(), world.topology().scenario_links,
+                                world.topology().hosts);
+    const auto plan = sim::parse_fault_plan(text);
+    ASSERT_EQ(plan.faults.size(), 1u);
+    injector.arm(plan);
+    world.run_for(sim::SimTime::seconds(1));
+    EXPECT_EQ(injector.stats().unresolved_targets, 1u);
+    EXPECT_EQ(injector.stats().episodes_started, 0u);
+    EXPECT_EQ(injector.stats().episodes_ended, 0u);
+    for (const auto& e : world.trace().snapshot()) {
+      EXPECT_NE(std::string(e.name).rfind("net.fault.", 0), 0u) << e.name;
+    }
+  }
+}
+
+// A script and the injector each own one reason for a pair to be down:
+// setting the pair up inside an outage window does not end the window,
+// and failing it inside one keeps it down after the window ends.
+TEST(FaultInjector, OutageWindowsComposeWithScriptedLinkState) {
   World world([](sim::EventScheduler& s) { return net::make_ethernet_lan(s, 2, 7); });
-  net::FaultInjector injector(world.network(), world.topology().scenario_links,
-                              world.topology().hosts);
-  injector.arm(sim::parse_fault_plan("down@0.1+0.1:link=99"));
+  net::Network& net = world.network();
+  const net::LinkId fwd = world.topology().scenario_links.at(0);
+  auto up = [&] {
+    EXPECT_EQ(net.link(fwd).is_up(), net.link(fwd ^ 1u).is_up());
+    return net.link(fwd).is_up();
+  };
+  net::FaultInjector injector(net, world.topology().scenario_links, world.topology().hosts);
+  injector.arm(sim::parse_fault_plan("down@1+1:link=0;down@3+1:link=0"));
+
+  world.run_for(sim::SimTime::milliseconds(1500));
+  net.set_link_pair_up(fwd, true);  // inside the first window
+  EXPECT_FALSE(up());
   world.run_for(sim::SimTime::seconds(1));
-  EXPECT_GE(injector.stats().unresolved_targets, 1u);
-  EXPECT_EQ(injector.stats().episodes_started, 0u);
+  EXPECT_TRUE(up());  // the window ended; the pair is set up
+
+  world.run_for(sim::SimTime::seconds(1));
+  net.set_link_pair_up(fwd, false);  // inside the second window: failed for good
+  world.run_for(sim::SimTime::seconds(1));
+  EXPECT_FALSE(up());
+  EXPECT_EQ(injector.stats().episodes_ended, 2u);
 }
 
 // ---------------------------------------------------------------------------

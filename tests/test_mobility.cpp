@@ -5,6 +5,7 @@
 // scripted handover run judged by the survivability oracle.
 #include "adaptive/scenario.hpp"
 #include "mantts/policy.hpp"
+#include "net/fault_injector.hpp"
 #include "net/mobility_controller.hpp"
 #include "net/topologies.hpp"
 #include "sim/fault_plan.hpp"
@@ -487,6 +488,30 @@ protected:
     return world.network().link(world.topology().attachments.at(i)).is_up();
   }
 
+  /// Overlap `partition@1+1:node=0` with `handover` and read the
+  /// attachments every 10 ms for 3 s: none is up inside the partition,
+  /// and outside it exactly the controller's active attachment is.
+  void expect_partition_holds_over(const char* handover) {
+    net::FaultInjector injector(world.network(), world.topology().scenario_links,
+                                world.topology().hosts);
+    injector.arm(sim::parse_fault_plan("partition@1+1:node=0"));
+    ctl.arm(sim::parse_fault_plan(handover));
+    for (int ms = 10; ms <= 3000; ms += 10) {
+      world.run_for(sim::SimTime::milliseconds(10));
+      if (ms == 1000 || ms == 2000) continue;  // the window's edges
+      std::size_t up = 0;
+      for (std::size_t i = 0; i < world.topology().attachments.size(); ++i) up += attachment_up(i);
+      if (ms > 1000 && ms < 2000) {
+        EXPECT_EQ(up, 0u) << "at " << ms << " ms";
+      } else {
+        EXPECT_EQ(up, 1u) << "at " << ms << " ms";
+        EXPECT_TRUE(attachment_up(ctl.active_attachment())) << "at " << ms << " ms";
+      }
+    }
+    EXPECT_EQ(ctl.stats().handovers_completed, 1u);
+    EXPECT_EQ(ctl.active_attachment(), 1u);
+  }
+
   World world;
   net::MobilityController ctl;
 };
@@ -518,6 +543,36 @@ TEST_F(MobilityControllerTest, BreakBeforeMakeGoesDarkForTheWindow) {
   world.run_for(sim::SimTime::milliseconds(500));
   EXPECT_TRUE(attachment_up(2));
   EXPECT_EQ(ctl.active_attachment(), 2u);
+}
+
+// A handover inside a partition of the mobile host records the choice of
+// attachment; the partition still holds every attachment down, and the
+// chosen one alone comes up when it ends.
+TEST_F(MobilityControllerTest, PartitionHoldsOverABreakBeforeMakeHandover) {
+  expect_partition_holds_over("handover@1.2+0.05:node=0,to=1,mode=bbm");
+}
+
+TEST_F(MobilityControllerTest, PartitionHoldsOverAMakeBeforeBreakHandover) {
+  expect_partition_holds_over("handover@1.2+0.05:node=0,to=1,mode=mbb");
+}
+
+// route_changes() counts route computations and nothing else: a handover
+// flips two pairs, one each side of its window, and a join changes one
+// group.
+TEST_F(MobilityControllerTest, RouteChangesCountComputationsOnly) {
+  ctl.set_group(world.network().create_group());
+  ctl.arm(sim::parse_fault_plan("handover@1+0.1:node=0,to=1,mode=bbm;"
+                                "handover@2+0.1:node=0,to=2,mode=mbb;join@3:node=2"));
+  const net::NetworkMonitor& mon = world.network().monitor();
+  const auto built = mon.route_changes();
+  world.run_for(sim::SimTime::milliseconds(1500));
+  EXPECT_EQ(mon.route_changes(), built + 2);  // bbm
+  world.run_for(sim::SimTime::seconds(1));
+  EXPECT_EQ(mon.route_changes(), built + 4);  // mbb
+  world.run_for(sim::SimTime::seconds(1));
+  EXPECT_EQ(mon.route_changes(), built + 5);  // join
+  EXPECT_EQ(ctl.stats().handovers_completed, 2u);
+  EXPECT_EQ(ctl.stats().joins, 1u);
 }
 
 TEST_F(MobilityControllerTest, CollidingAndNoOpHandoversAreSkipped) {
@@ -622,6 +677,32 @@ TEST(MobilityScenario, ScriptedHandoversSurviveWithBoundedBlackout) {
   EXPECT_TRUE(out.mobility.synthesis_current);
   EXPECT_GE(out.reconfigurations, 1u);
   EXPECT_GE(out.mantts.renegotiations, 1u);
+}
+
+// Voice from the mobile host on the CLI's mobile-wan: a handover inside
+// a partition of that host must not end the partition early, so the run
+// loses what the partition alone loses, within one voice unit.
+TEST(MobilityScenario, AHandoverInsideAPartitionLosesWhatThePartitionLoses) {
+  auto run = [](const char* plan) {
+    World world([](sim::EventScheduler& s) { return net::make_mobile_wan(s, 3, 3, 1); });
+    RunOptions opt;
+    opt.application = app::Table1App::kVoice;
+    opt.duration = sim::SimTime::seconds(4);
+    opt.drain = sim::SimTime::seconds(4);
+    opt.faults = sim::parse_fault_plan(plan);
+    return run_scenario(world, opt);
+  };
+  const auto partition = run("partition@1+1:node=0");
+  ASSERT_GT(partition.source.units_sent, 0u);
+  const double unit = 1.0 / static_cast<double>(partition.source.units_sent);
+  EXPECT_GT(partition.qos.loss_fraction, 0.2);
+  for (const char* mode : {"bbm", "mbb"}) {
+    SCOPED_TRACE(mode);
+    const auto both = run((std::string("partition@1+1:node=0;handover@1.2+0.05:node=0,to=1,mode=") +
+                           mode).c_str());
+    EXPECT_EQ(both.mobility.controller.handovers_completed, 1u);
+    EXPECT_NEAR(both.qos.loss_fraction, partition.qos.loss_fraction, unit);
+  }
 }
 
 TEST(MobilityScenario, MembershipChurnNeverCostsFullDurationReceiversData) {

@@ -410,7 +410,6 @@ TEST(Monitor, RecentLossRateWindowed) {
   for (int i = 0; i < 8; ++i) mon.record(NetEventKind::kDeliver);
   for (int i = 0; i < 2; ++i) mon.record(NetEventKind::kDrop);
   mon.record(NetEventKind::kRouteChange);  // not an outcome
-  mon.record(NetEventKind::kFault);
   EXPECT_NEAR(mon.recent_loss_rate(), 0.2, 1e-9);
   // 254 more deliveries push the first 8 out: the window is the 2 drops
   // and the 254 deliveries.
@@ -421,7 +420,6 @@ TEST(Monitor, RecentLossRateWindowed) {
   EXPECT_EQ(mon.total_drops(), 2u);
   EXPECT_EQ(mon.total_deliveries(), 264u);
   EXPECT_EQ(mon.route_changes(), 1u);
-  EXPECT_EQ(mon.faults(), 1u);
 }
 
 TEST(Monitor, RecentLossRateMatchesAScanOfTheLastOutcomes) {
@@ -442,7 +440,7 @@ TEST(Monitor, RecentLossRateMatchesAScanOfTheLastOutcomes) {
       kind = rng.bernoulli(drop_p) ? NetEventKind::kDrop : NetEventKind::kDeliver;
       outcomes.push_back(kind == NetEventKind::kDrop);
     } else {
-      kind = rng.bernoulli(0.5) ? NetEventKind::kRouteChange : NetEventKind::kFault;
+      kind = NetEventKind::kRouteChange;
     }
     mon.record(kind);
     std::uint64_t drops = 0;
@@ -740,7 +738,9 @@ void expect_same_routes(const Network& net, const ref::Routes& r,
 /// Drives one random topology through random public calls, mirroring
 /// when the Network computes routes (eagerly outside a batch, at the
 /// outermost batch's close, on recompute_routes) and checking it against
-/// the reference after every call.
+/// the reference after every call. A link pair is modelled as carrying
+/// traffic while it is set up and no outage holds it, and a set or a
+/// hold that leaves that unchanged computes nothing.
 class RandomRouteRun {
 public:
   explicit RandomRouteRun(std::uint64_t seed) : rng_(seed), net_(sched_, seed) {}
@@ -829,11 +829,24 @@ private:
         b = l.to();
       }
       net_.connect(a, b, random_config());
+      pairs_.emplace_back();
       routes_changed();
     } else if (pick < 0.60 && pairs > 0) {
-      net_.set_link_pair_up(static_cast<LinkId>(2 * rng_.uniform_int(0, pairs - 1)),
-                            rng_.bernoulli(0.4));
-      routes_changed();
+      const auto fwd = static_cast<LinkId>(2 * rng_.uniform_int(0, pairs - 1));
+      PairModel& m = pairs_[fwd / 2];
+      const bool carried = m.carries();
+      const double how = rng_.uniform();
+      if (how < 0.5) {
+        m.up = rng_.bernoulli(0.4);
+        net_.set_link_pair_up(fwd, m.up);
+      } else if (how < 0.75 || m.holds == 0) {
+        ++m.holds;
+        net_.hold_pair_down(fwd);
+      } else {
+        --m.holds;
+        net_.release_pair(fwd);
+      }
+      if (m.carries() != carried) routes_changed();
     } else if (pick < 0.65 && pairs > 0) {
       // A config change (as a bw/delay fault makes) moves path values but
       // not routes: nothing recomputes.
@@ -910,6 +923,9 @@ private:
 
   void check() {
     ASSERT_EQ(net_.monitor().route_changes(), computations_);
+    for (LinkId id = 0; id < net_.link_count(); ++id) {
+      ASSERT_EQ(net_.link(id).is_up(), pairs_[id / 2].carries()) << "link " << id;
+    }
     expect_same_routes(net_, expected_, is_host_, groups_);
   }
 
@@ -919,6 +935,12 @@ private:
   std::vector<bool> is_host_;
   std::vector<NodeId> groups_{net_.broadcast_address()};
   std::vector<std::unique_ptr<Network::RouteBatch>> batches_;
+  struct PairModel {
+    bool up = true;
+    std::uint32_t holds = 0;
+    [[nodiscard]] bool carries() const { return up && holds == 0; }
+  };
+  std::vector<PairModel> pairs_;  ///< by forward link id / 2
   ref::Routes expected_;
   std::uint64_t computations_ = 0;
   bool stale_ = false;
@@ -983,6 +1005,28 @@ TEST(RouteBatch, NestedBatchesComputeOnceAtTheOutermostClose) {
   net.set_link_pair_up(0, false);  // outside a batch: eager, as before
   EXPECT_EQ(net.monitor().route_changes(), 2u);
   EXPECT_TRUE(net.path(a, b).empty());
+}
+
+TEST(RouteBatch, HoldsStackAndOnlyACarriedFlipComputes) {
+  sim::EventScheduler sched;
+  Network net(sched, 1);
+  const NodeId a = net.add_host("a");
+  const NodeId b = net.add_host("b");
+  net.connect(a, b, LinkConfig{});
+  EXPECT_EQ(net.monitor().route_changes(), 1u);
+  net.hold_pair_down(0);
+  net.hold_pair_down(0);
+  EXPECT_EQ(net.monitor().route_changes(), 2u);
+  net.set_link_pair_up(0, true);  // already set up, still held
+  net.release_pair(0);
+  EXPECT_FALSE(net.link(0).is_up());
+  EXPECT_EQ(net.monitor().route_changes(), 2u);
+  net.release_pair(0);
+  EXPECT_TRUE(net.link(0).is_up());
+  EXPECT_TRUE(net.link(1).is_up());
+  EXPECT_EQ(net.monitor().route_changes(), 3u);
+  EXPECT_THROW(net.release_pair(0), std::logic_error);  // no hold to release
+  EXPECT_EQ(net.path(a, b), (std::vector<NodeId>{a, b}));
 }
 
 TEST(RouteBatch, PartitionOfAHostCostsOneComputationEachWay) {
