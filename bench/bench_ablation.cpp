@@ -279,7 +279,7 @@ int main() {
       bg.always_on = true;
       net::BackgroundTraffic cross(world.network(), bg, 78);
       const auto onset = sim::SimTime::seconds(3);
-      world.scheduler().schedule_after(onset, [&] { cross.start(); });
+      world.scheduler().post_after(onset, [&] { cross.start(); });
 
       // A paced, low-rate session (it cannot congest the path itself, so
       // the policies react purely to the external onset).

@@ -50,7 +50,7 @@ int main() {
   bg.burst_rate = sim::Rate::mbps(3);
   bg.always_on = true;
   net::BackgroundTraffic cross(world.network(), bg, 93);
-  world.scheduler().schedule_after(sim::SimTime::seconds(6), [&] { cross.start(); });
+  world.scheduler().post_after(sim::SimTime::seconds(6), [&] { cross.start(); });
 
   app::SourceApp source(*session, std::move(workload.model), world.host(0).timers(),
                         sim::SimTime::seconds(20));

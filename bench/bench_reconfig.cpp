@@ -38,8 +38,8 @@ int main() {
     bg.burst_rate = sim::Rate::mbps(3);
     bg.always_on = true;
     net::BackgroundTraffic cross(world.network(), bg, 9);
-    world.scheduler().schedule_after(sim::SimTime::seconds(4), [&] { cross.start(); });
-    world.scheduler().schedule_after(sim::SimTime::seconds(30), [&] { cross.stop(); });
+    world.scheduler().post_after(sim::SimTime::seconds(4), [&] { cross.start(); });
+    world.scheduler().post_after(sim::SimTime::seconds(30), [&] { cross.stop(); });
 
     RunOptions opt;
     opt.application = app::Table1App::kFileTransfer;
@@ -98,7 +98,7 @@ int main() {
                        "segues"});
   for (const bool adaptive_mode : {false, true}) {
     World world([](sim::EventScheduler& s) { return net::make_dual_path_wan(s, 73); });
-    world.scheduler().schedule_after(sim::SimTime::seconds(5), [&] {
+    world.scheduler().post_after(sim::SimTime::seconds(5), [&] {
       world.network().set_link_pair_up(world.topology().scenario_links[0], false);
     });
 

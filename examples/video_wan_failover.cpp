@@ -40,7 +40,7 @@ int main() {
   source.start();
 
   // Fail the terrestrial backbone at t = 6 s.
-  world.scheduler().schedule_after(sim::SimTime::seconds(6), [&] {
+  world.scheduler().post_after(sim::SimTime::seconds(6), [&] {
     std::printf("-- t=6s: terrestrial backbone FAILS; rerouting via satellite --\n");
     world.network().set_link_pair_up(world.topology().scenario_links[0], false);
   });

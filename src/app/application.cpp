@@ -163,7 +163,8 @@ void SinkApp::on_message(tko::Message&& m) {
     stats_.continuation_bytes += bytes.size();
     return;
   }
-  if (h.id < seen_.size() && seen_[h.id]) {
+  auto& page = seen_[h.id / kSeenPageIds];
+  if (page.test(h.id % kSeenPageIds)) {
     ++stats_.duplicates;
     if (on_delivery_) {
       DeliveryEvent ev;
@@ -175,8 +176,7 @@ void SinkApp::on_message(tko::Message&& m) {
     }
     return;
   }
-  if (h.id >= seen_.size()) seen_.resize(std::max<std::size_t>(h.id + 1, seen_.size() * 2 + 1));
-  seen_[h.id] = true;
+  page.set(h.id % kSeenPageIds);
   ++stats_.units_received;
   stats_.highest_id = std::max(stats_.highest_id, h.id);
   const bool misordered = h.id < last_id_;

@@ -13,8 +13,10 @@
 #include "os/timer_facility.hpp"
 #include "unites/trace.hpp"
 
+#include <bitset>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -139,7 +141,11 @@ private:
   unites::TraceRecorder* trace_ = nullptr;  ///< the attached session's ring
   SinkStats stats_;
   std::uint32_t last_id_ = 0;
-  std::vector<bool> seen_;
+  /// Unit ids seen, as 512-id bitmap pages keyed by id / 512: memory
+  /// follows the ids that arrived, not the largest id (one corrupted id
+  /// costs one page, not a bitmap up to 2^32).
+  static constexpr std::uint32_t kSeenPageIds = 512;
+  std::map<std::uint32_t, std::bitset<kSeenPageIds>> seen_;
   LatencyFn on_latency_;
   DeliveryFn on_delivery_;
 };

@@ -4,7 +4,11 @@ namespace adaptive::net {
 
 BackgroundTraffic::BackgroundTraffic(Network& net, const BackgroundTrafficConfig& cfg,
                                      std::uint64_t seed)
-    : net_(net), cfg_(cfg), rng_(seed) {}
+    : net_(net),
+      cfg_(cfg),
+      rng_(seed),
+      idle_timer_(net.scheduler(), [this] { enter_burst(); }),
+      send_timer_(net.scheduler(), [this] { send_one(); }) {}
 
 void BackgroundTraffic::start() {
   if (running_) return;
@@ -14,7 +18,8 @@ void BackgroundTraffic::start() {
 
 void BackgroundTraffic::stop() {
   running_ = false;
-  pending_.cancel();
+  idle_timer_.cancel();
+  send_timer_.cancel();
 }
 
 void BackgroundTraffic::enter_burst() {
@@ -33,7 +38,7 @@ void BackgroundTraffic::send_one() {
   auto& sched = net_.scheduler();
   if (sched.now() >= burst_end_) {
     const auto idle = sim::SimTime::seconds(rng_.exponential(cfg_.mean_idle.sec()));
-    pending_ = sched.schedule_after(idle, [this] { enter_burst(); });
+    idle_timer_.arm_after(idle);
     return;
   }
   Packet p;
@@ -43,7 +48,7 @@ void BackgroundTraffic::send_one() {
   net_.inject(std::move(p));
   ++sent_;
   const auto gap = cfg_.burst_rate.transmission_time(cfg_.packet_bytes + Packet::kNetworkHeaderBytes);
-  pending_ = sched.schedule_after(gap, [this] { send_one(); });
+  send_timer_.arm_after(gap);
 }
 
 }  // namespace adaptive::net

@@ -42,7 +42,8 @@ private:
   sim::Rng rng_;
   bool running_ = false;
   sim::SimTime burst_end_ = sim::SimTime::zero();
-  sim::EventHandle pending_;
+  sim::Timer idle_timer_;  ///< ends an idle period
+  sim::Timer send_timer_;  ///< paces sends within a burst
   std::uint64_t sent_ = 0;
 };
 

@@ -24,12 +24,15 @@ FaultInjector::FaultInjector(Network& net, std::vector<LinkId> scenario_links,
                              std::vector<NodeId> hosts)
     : net_(net), scenario_links_(std::move(scenario_links)), hosts_(std::move(hosts)) {}
 
-FaultInjector::~FaultInjector() {
-  for (auto& h : scheduled_) h.cancel();
-}
+FaultInjector::Scheduled::Scheduled(FaultInjector& injector, const sim::FaultSpec& spec,
+                                    std::vector<LinkId> pairs, std::uint64_t episode)
+    : spec(spec),
+      pairs(std::move(pairs)),
+      episode(episode),
+      begin(injector.net_.scheduler(), [&injector, this] { injector.begin_episode(*this); }),
+      end(injector.net_.scheduler(), [&injector, this] { injector.end_episode(*this); }) {}
 
 void FaultInjector::arm(const sim::FaultPlan& plan) {
-  auto& sched = net_.scheduler();
   for (const auto& spec : plan.faults) {
     if (is_mobility_kind(spec.kind)) continue;
     const std::vector<LinkId> pairs = resolve(spec);
@@ -42,10 +45,9 @@ void FaultInjector::arm(const sim::FaultPlan& plan) {
       const std::uint64_t episode = next_episode_++;
       const sim::SimTime start = spec.at + spec.period * static_cast<std::int64_t>(i);
       const sim::SimTime end = start + spec.duration;
-      scheduled_.push_back(sched.schedule_after(
-          start, [this, spec, pairs, episode] { begin_episode(spec, pairs, episode); }));
-      scheduled_.push_back(sched.schedule_after(
-          end, [this, spec, pairs, episode] { end_episode(spec, pairs, episode); }));
+      Scheduled& s = scheduled_.emplace_back(*this, spec, pairs, episode);
+      s.begin.arm_after(start);
+      s.end.arm_after(end);
     }
   }
 }
@@ -109,34 +111,32 @@ void FaultInjector::reapply(Link& l) {
   l.set_config(cfg);
 }
 
-void FaultInjector::begin_episode(const sim::FaultSpec& spec, const std::vector<LinkId>& pairs,
-                                  std::uint64_t episode) {
-  if (is_outage_kind(spec.kind)) {
+void FaultInjector::begin_episode(const Scheduled& e) {
+  if (is_outage_kind(e.spec.kind)) {
     const Network::RouteBatch batch(net_);  // one route computation for all pairs
-    for (const LinkId fwd : pairs) net_.hold_pair_down(fwd);
+    for (const LinkId fwd : e.pairs) net_.hold_pair_down(fwd);
   } else {
-    for (const LinkId fwd : pairs) {
+    for (const LinkId fwd : e.pairs) {
       for (Link* l : {&net_.link(fwd), &net_.link(fwd ^ 1u)}) {
         baseline_.try_emplace(l->id(), l->config());  // first fault keeps baseline
-        active_[l->id()].push_back({episode, spec});
+        active_[l->id()].push_back({e.episode, e.spec});
         reapply(*l);
       }
     }
   }
   ++stats_.episodes_started;
-  trace(spec, "net.fault.begin");
+  trace(e.spec, "net.fault.begin");
 }
 
-void FaultInjector::end_episode(const sim::FaultSpec& spec, const std::vector<LinkId>& pairs,
-                                std::uint64_t episode) {
-  if (is_outage_kind(spec.kind)) {
+void FaultInjector::end_episode(const Scheduled& e) {
+  if (is_outage_kind(e.spec.kind)) {
     const Network::RouteBatch batch(net_);
-    for (const LinkId fwd : pairs) net_.release_pair(fwd);
+    for (const LinkId fwd : e.pairs) net_.release_pair(fwd);
   } else {
-    for (const LinkId fwd : pairs) {
+    for (const LinkId fwd : e.pairs) {
       for (Link* l : {&net_.link(fwd), &net_.link(fwd ^ 1u)}) {
         const auto it = active_.find(l->id());
-        std::erase_if(it->second, [episode](const ActiveEpisode& ep) { return ep.id == episode; });
+        std::erase_if(it->second, [&e](const ActiveEpisode& ep) { return ep.id == e.episode; });
         reapply(*l);
         if (it->second.empty()) {  // back to pristine: forget the baseline
           active_.erase(it);
@@ -146,7 +146,7 @@ void FaultInjector::end_episode(const sim::FaultSpec& spec, const std::vector<Li
     }
   }
   ++stats_.episodes_ended;
-  trace(spec, "net.fault.end");
+  trace(e.spec, "net.fault.end");
 }
 
 }  // namespace adaptive::net

@@ -26,6 +26,7 @@
 #include "net/network.hpp"
 #include "sim/fault_plan.hpp"
 
+#include <deque>
 #include <map>
 #include <vector>
 
@@ -37,9 +38,6 @@ public:
   /// topology's scenario_links); `hosts` maps host index -> NodeId.
   FaultInjector(Network& net, std::vector<LinkId> scenario_links, std::vector<NodeId> hosts);
 
-  /// Cancels every not-yet-fired episode event (scheduled callbacks
-  /// capture this injector; it must not be outlived by them).
-  ~FaultInjector();
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
@@ -56,6 +54,18 @@ public:
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
 private:
+  /// One armed episode: its begin and end timers point back at it, and
+  /// die (cancelling whatever has not fired) with the injector.
+  struct Scheduled {
+    Scheduled(FaultInjector& injector, const sim::FaultSpec& spec, std::vector<LinkId> pairs,
+              std::uint64_t episode);
+    sim::FaultSpec spec;
+    std::vector<LinkId> pairs;
+    std::uint64_t episode;
+    sim::Timer begin;
+    sim::Timer end;
+  };
+
   /// One active config-mutating episode on one link.
   struct ActiveEpisode {
     std::uint64_t id = 0;
@@ -66,10 +76,8 @@ private:
   /// the host for a partition, the scenario link's pair otherwise. Empty
   /// when the target does not resolve.
   [[nodiscard]] std::vector<LinkId> resolve(const sim::FaultSpec& spec);
-  void begin_episode(const sim::FaultSpec& spec, const std::vector<LinkId>& pairs,
-                     std::uint64_t episode);
-  void end_episode(const sim::FaultSpec& spec, const std::vector<LinkId>& pairs,
-                   std::uint64_t episode);
+  void begin_episode(const Scheduled& e);
+  void end_episode(const Scheduled& e);
   /// Recompute a link's config: baseline + active episodes in begin order.
   void reapply(Link& l);
   /// Fold one episode's impairment into `cfg`.
@@ -82,7 +90,7 @@ private:
   std::vector<NodeId> hosts_;
   std::map<LinkId, LinkConfig> baseline_;  ///< pre-fault configs by link id
   std::map<LinkId, std::vector<ActiveEpisode>> active_;
-  std::vector<sim::EventHandle> scheduled_;
+  std::deque<Scheduled> scheduled_;  ///< every armed episode, fired or not
   std::uint64_t next_episode_ = 0;
   Stats stats_;
 };

@@ -67,10 +67,14 @@ void Link::start_transmission() {
   trace("net.tx", static_cast<double>(p.size_bytes()), nullptr, tx_time);
 
   // After serialization completes, the next queued packet may start, and
-  // this one propagates to the far end.
-  sched_.post_after(tx_time, [this, p = std::move(p)]() mutable {
-    sched_.post_after(cfg_.propagation_delay, [this, p = std::move(p)]() mutable {
-      if (!up_) {
+  // this one propagates to the far end. A down transition in between
+  // aborted this serialization: its completion neither restarts the wire
+  // (set_up(true) may already have) nor delivers the cut-off packet, which
+  // is dropped when it would have arrived.
+  sched_.post_after(tx_time, [this, epoch = down_transitions_, p = std::move(p)]() mutable {
+    const bool cut = epoch != down_transitions_;
+    sched_.post_after(cfg_.propagation_delay, [this, cut, p = std::move(p)]() mutable {
+      if (cut || !up_) {
         ++stats_.down_drops;
         drop(p, "link-down");
         return;
@@ -78,7 +82,7 @@ void Link::start_transmission() {
       apply_bit_errors(p);
       deliver_mutated(std::move(p));
     });
-    start_transmission();
+    if (!cut) start_transmission();
   });
 }
 
@@ -152,7 +156,7 @@ void Link::deliver_mutated(Packet&& p) {
     const auto hold = sim::SimTime::microseconds(
         static_cast<std::int64_t>(rng_.uniform_int(200, 3000)));
     trace("net.mutate", static_cast<double>(hold.ns()), "reorder");
-    sched_.schedule_after(hold, [this, p = std::move(p)]() mutable {
+    sched_.post_after(hold, [this, p = std::move(p)]() mutable {
       if (deliver_) deliver_(std::move(p));
     });
     return;
@@ -161,6 +165,7 @@ void Link::deliver_mutated(Packet&& p) {
 }
 
 void Link::set_up(bool up) {
+  if (up_ && !up) ++down_transitions_;
   up_ = up;
   if (!up_) {
     for (auto& [_, q] : queues_) {

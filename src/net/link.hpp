@@ -126,7 +126,8 @@ private:
   friend class Network;  // the one owner of link-pair state
 
   /// Taking a link down drops queued and future packets until it comes
-  /// back up.
+  /// back up, and aborts the serialization in flight: that packet is
+  /// dropped as link-down when it would have arrived.
   void set_up(bool up);
   void start_transmission();
   void apply_bit_errors(Packet& p);
@@ -158,6 +159,9 @@ private:
   std::size_t queued_ = 0;
   bool busy_ = false;
   bool up_ = true;
+  /// Counts up->down transitions; a serialization that sees it change
+  /// was cut off by one.
+  std::uint32_t down_transitions_ = 0;
   bool burst_state_bad_ = false;
   LinkStats stats_;
 };

@@ -8,29 +8,41 @@ MobilityController::MobilityController(Network& net, std::vector<NodeId> hosts, 
                                        std::vector<LinkId> attachments)
     : net_(net), hosts_(std::move(hosts)), mobile_(mobile), attachments_(std::move(attachments)) {}
 
-MobilityController::~MobilityController() {
-  for (auto& h : scheduled_) h.cancel();
-}
+MobilityController::Scheduled::Scheduled(MobilityController& mc, Step step,
+                                         const sim::FaultSpec& spec, std::size_t from,
+                                         std::size_t to)
+    : step(step),
+      spec(spec),
+      from(from),
+      to(to),
+      timer(mc.net_.scheduler(), [&mc, this] { mc.fire(*this); }) {}
 
 void MobilityController::arm(const sim::FaultPlan& plan) {
   for (const auto& spec : plan.faults) {
     switch (spec.kind) {
-      case sim::FaultKind::kHandover: schedule_handover(spec); break;
+      case sim::FaultKind::kHandover:
+        schedule(Scheduled::Step::kHandoverBegin, spec, spec.at);
+        break;
       case sim::FaultKind::kGroupJoin:
-      case sim::FaultKind::kGroupLeave: schedule_membership(spec); break;
+      case sim::FaultKind::kGroupLeave:
+        schedule(Scheduled::Step::kMembership, spec, spec.at);
+        break;
       default: break;  // impairment kinds belong to the FaultInjector
     }
   }
 }
 
-void MobilityController::schedule_handover(const sim::FaultSpec& spec) {
-  scheduled_.push_back(
-      net_.scheduler().schedule_after(spec.at, [this, spec] { begin_handover(spec); }));
+void MobilityController::schedule(Scheduled::Step step, const sim::FaultSpec& spec,
+                                  sim::SimTime delay, std::size_t from, std::size_t to) {
+  scheduled_.emplace_back(*this, step, spec, from, to).timer.arm_after(delay);
 }
 
-void MobilityController::schedule_membership(const sim::FaultSpec& spec) {
-  scheduled_.push_back(
-      net_.scheduler().schedule_after(spec.at, [this, spec] { apply_membership(spec); }));
+void MobilityController::fire(const Scheduled& s) {
+  switch (s.step) {
+    case Scheduled::Step::kHandoverBegin: begin_handover(s.spec); break;
+    case Scheduled::Step::kHandoverEnd: finish_handover(s.spec, s.from, s.to); break;
+    case Scheduled::Step::kMembership: apply_membership(s.spec); break;
+  }
 }
 
 void MobilityController::begin_handover(const sim::FaultSpec& spec) {
@@ -59,8 +71,7 @@ void MobilityController::begin_handover(const sim::FaultSpec& spec) {
   // FaultInjector::trace), so the trace carries the mode as a literal.
   trace("net.handover.begin", static_cast<double>(to), spec.make_before_break ? "mbb" : "bbm");
   if (on_handover_begin_) on_handover_begin_(spec);
-  scheduled_.push_back(net_.scheduler().schedule_after(
-      spec.duration, [this, spec, from, to] { finish_handover(spec, from, to); }));
+  schedule(Scheduled::Step::kHandoverEnd, spec, spec.duration, from, to);
 }
 
 void MobilityController::finish_handover(const sim::FaultSpec& spec, std::size_t from,

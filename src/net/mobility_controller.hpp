@@ -22,14 +22,14 @@
 //    start, the host is dark for the window, then the target comes up —
 //    the worst case the survivability oracle's blackout bound polices.
 //
-// Scheduled callbacks capture `this`; the controller must outlive its
-// armed plan (the destructor cancels everything unfired, same contract as
-// FaultInjector).
+// Scheduled callbacks capture `this`; the controller owns their timers,
+// so destroying it cancels everything unfired (as with FaultInjector).
 #pragma once
 
 #include "net/network.hpp"
 #include "sim/fault_plan.hpp"
 
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -42,7 +42,6 @@ public:
   /// attachment links (forward ids), attachments[active] currently up.
   MobilityController(Network& net, std::vector<NodeId> hosts, NodeId mobile,
                      std::vector<LinkId> attachments);
-  ~MobilityController();
   MobilityController(const MobilityController&) = delete;
   MobilityController& operator=(const MobilityController&) = delete;
 
@@ -83,8 +82,22 @@ public:
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
 private:
-  void schedule_handover(const sim::FaultSpec& spec);
-  void schedule_membership(const sim::FaultSpec& spec);
+  /// One scheduled mobility step. It owns its timer, which points back at
+  /// it; destroying the controller cancels whatever has not fired.
+  struct Scheduled {
+    enum class Step { kHandoverBegin, kHandoverEnd, kMembership };
+    Scheduled(MobilityController& mc, Step step, const sim::FaultSpec& spec, std::size_t from = 0,
+              std::size_t to = 0);
+    Step step;
+    sim::FaultSpec spec;
+    std::size_t from;  ///< kHandoverEnd: the attachments it moves between
+    std::size_t to;
+    sim::Timer timer;
+  };
+
+  void schedule(Scheduled::Step step, const sim::FaultSpec& spec, sim::SimTime delay,
+                std::size_t from = 0, std::size_t to = 0);
+  void fire(const Scheduled& s);
   void begin_handover(const sim::FaultSpec& spec);
   void finish_handover(const sim::FaultSpec& spec, std::size_t from, std::size_t to);
   void apply_membership(const sim::FaultSpec& spec);
@@ -105,7 +118,7 @@ private:
   HandoverObserver on_handover_begin_;
   HandoverObserver on_handover_;
   MembershipObserver on_membership_;
-  std::vector<sim::EventHandle> scheduled_;
+  std::deque<Scheduled> scheduled_;  ///< every scheduled step, fired or not
   Stats stats_;
 };
 

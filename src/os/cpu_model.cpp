@@ -4,17 +4,13 @@
 
 namespace adaptive::os {
 
-sim::SimTime CpuModel::run(std::uint64_t instr, std::function<void()> done) {
+sim::SimTime CpuModel::book(std::uint64_t instr) {
   stats_.instructions += instr;
   const sim::SimTime cost = instr_time(instr);
   const sim::SimTime start = std::max(sched_.now(), busy_until_);
   busy_until_ = start + cost;
   stats_.busy += cost;
-  const sim::SimTime finish = busy_until_;
-  if (done) {
-    sched_.post_at(finish, std::move(done));
-  }
-  return finish;
+  return busy_until_;
 }
 
 double CpuModel::utilization_since(sim::SimTime since) const {

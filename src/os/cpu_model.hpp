@@ -12,7 +12,8 @@
 #include "sim/time.hpp"
 
 #include <cstdint>
-#include <functional>
+#include <type_traits>
+#include <utility>
 
 namespace adaptive::os {
 
@@ -46,27 +47,42 @@ public:
   }
 
   /// Queue `instr` instructions of work; `done` runs when the (serial)
-  /// CPU finishes it. Returns the completion time.
-  sim::SimTime run(std::uint64_t instr, std::function<void()> done);
+  /// CPU finishes it, posted straight into the scheduler's node (a
+  /// `nullptr` completion posts nothing). Returns the completion time.
+  template <class Done>
+  sim::SimTime run(std::uint64_t instr, Done&& done) {
+    const sim::SimTime finish = book(instr);
+    if constexpr (!std::is_null_pointer_v<std::remove_cvref_t<Done>>) {
+      sched_.post_at(finish, std::forward<Done>(done));
+    }
+    return finish;
+  }
 
   /// Convenience wrappers that also bump the relevant counter.
-  sim::SimTime run_interrupt(std::function<void()> done) {
+  template <class Done>
+  sim::SimTime run_interrupt(Done&& done) {
     ++stats_.interrupts;
-    return run(cfg_.interrupt_instr, std::move(done));
+    return run(cfg_.interrupt_instr, std::forward<Done>(done));
   }
-  sim::SimTime run_context_switch(std::function<void()> done) {
+  template <class Done>
+  sim::SimTime run_context_switch(Done&& done) {
     ++stats_.context_switches;
-    return run(cfg_.context_switch_instr, std::move(done));
+    return run(cfg_.context_switch_instr, std::forward<Done>(done));
   }
-  sim::SimTime run_copy(std::size_t bytes, std::function<void()> done) {
+  template <class Done>
+  sim::SimTime run_copy(std::size_t bytes, Done&& done) {
     return run(static_cast<std::uint64_t>(cfg_.copy_instr_per_byte * static_cast<double>(bytes)),
-               std::move(done));
+               std::forward<Done>(done));
   }
 
   /// Fraction of time the CPU has been busy since `since`.
   [[nodiscard]] double utilization_since(sim::SimTime since) const;
 
 private:
+  /// Book `instr` instructions behind the work already queued; returns
+  /// the completion time.
+  sim::SimTime book(std::uint64_t instr);
+
   sim::EventScheduler& sched_;
   CpuConfig cfg_;
   CpuStats stats_;

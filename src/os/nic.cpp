@@ -3,7 +3,12 @@
 namespace adaptive::os {
 
 Nic::Nic(net::Network& net, net::NodeId node, CpuModel& cpu, const NicConfig& cfg)
-    : net_(net), node_(node), cpu_(cpu), cfg_(cfg) {
+    : net_(net),
+      node_(node),
+      cpu_(cpu),
+      cfg_(cfg),
+      tx_flush_timer_(net.scheduler(), [this] { flush_tx(); }),
+      rx_flush_timer_(net.scheduler(), [this] { flush_rx(); }) {
   net_.set_host_rx(node_, [this](net::Packet&& p) { on_wire_rx(std::move(p)); });
 }
 
@@ -19,19 +24,18 @@ void Nic::send(net::Packet&& p) {
     tx_flush_timer_.cancel();
     flush_tx();
   } else if (!tx_flush_timer_.pending()) {
-    tx_flush_timer_ =
-        net_.scheduler().schedule_after(cfg_.coalesce_timeout, [this] { flush_tx(); });
+    tx_flush_timer_.arm_after(cfg_.coalesce_timeout);
   }
 }
 
 void Nic::flush_tx() {
   if (tx_batch_.empty()) return;
-  auto batch = std::make_shared<std::deque<net::Packet>>(std::move(tx_batch_));
-  tx_batch_.clear();
   // One interrupt covers the whole batch (descriptor-ring style).
-  cpu_.run_interrupt([this, batch] {
-    for (auto& p : *batch) net_.inject(std::move(p));
+  cpu_.run_interrupt([this, batch = std::move(tx_batch_)]() mutable {
+    for (auto& p : batch) net_.inject(std::move(p));
   });
+  tx_batch_.clear();
+  tx_batch_.reserve(cfg_.interrupt_coalescing);
 }
 
 void Nic::on_wire_rx(net::Packet&& p) {
@@ -47,20 +51,19 @@ void Nic::on_wire_rx(net::Packet&& p) {
     rx_flush_timer_.cancel();
     flush_rx();
   } else if (!rx_flush_timer_.pending()) {
-    rx_flush_timer_ =
-        net_.scheduler().schedule_after(cfg_.coalesce_timeout, [this] { flush_rx(); });
+    rx_flush_timer_.arm_after(cfg_.coalesce_timeout);
   }
 }
 
 void Nic::flush_rx() {
   if (rx_batch_.empty()) return;
-  auto batch = std::make_shared<std::deque<net::Packet>>(std::move(rx_batch_));
-  rx_batch_.clear();
-  cpu_.run_interrupt([this, batch] {
-    for (auto& p : *batch) {
+  cpu_.run_interrupt([this, batch = std::move(rx_batch_)]() mutable {
+    for (auto& p : batch) {
       if (rx_) rx_(std::move(p));
     }
   });
+  rx_batch_.clear();
+  rx_batch_.reserve(cfg_.interrupt_coalescing);
 }
 
 }  // namespace adaptive::os

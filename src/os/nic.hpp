@@ -8,8 +8,8 @@
 #include "net/network.hpp"
 #include "os/cpu_model.hpp"
 
-#include <deque>
 #include <functional>
+#include <vector>
 
 namespace adaptive::os {
 
@@ -61,10 +61,10 @@ private:
   RxFn rx_;
   std::uint64_t tx_ = 0;
   std::uint64_t rx_count_ = 0;
-  std::deque<net::Packet> tx_batch_;
-  std::deque<net::Packet> rx_batch_;
-  sim::EventHandle tx_flush_timer_;
-  sim::EventHandle rx_flush_timer_;
+  std::vector<net::Packet> tx_batch_;
+  std::vector<net::Packet> rx_batch_;
+  sim::Timer tx_flush_timer_;  ///< flushes a partial batch after coalesce_timeout
+  sim::Timer rx_flush_timer_;
 };
 
 }  // namespace adaptive::os

@@ -1,15 +1,13 @@
 // Per-host timer facility — the OS service behind TKO_Event.
 //
-// A thin, instrumented veneer over the event scheduler: protocol code sees
-// only this interface, insulating TKO from the simulation kernel exactly as
-// the TKO protocol architecture insulates it from a real OS (Section 4.2.1).
+// Protocol code reaches the clock and the host's scheduler only through
+// this interface, insulating TKO from the simulation kernel exactly as
+// the TKO protocol architecture insulates it from a real OS (Section
+// 4.2.1). A tko::Event is one sim::Timer armed on this scheduler.
 #pragma once
 
 #include "sim/event_scheduler.hpp"
 #include "sim/time.hpp"
-
-#include <cstdint>
-#include <functional>
 
 namespace adaptive::os {
 
@@ -17,20 +15,11 @@ class TimerFacility {
 public:
   explicit TimerFacility(sim::EventScheduler& sched) : sched_(sched) {}
 
-  using Callback = std::function<void()>;
-
-  sim::EventHandle schedule(sim::SimTime delay, Callback cb) {
-    ++scheduled_;
-    return sched_.schedule_after(delay, std::move(cb));
-  }
-
   [[nodiscard]] sim::SimTime now() const { return sched_.now(); }
-  [[nodiscard]] std::uint64_t timers_scheduled() const { return scheduled_; }
   [[nodiscard]] sim::EventScheduler& scheduler() { return sched_; }
 
 private:
   sim::EventScheduler& sched_;
-  std::uint64_t scheduled_ = 0;
 };
 
 }  // namespace adaptive::os

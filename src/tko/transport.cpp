@@ -70,7 +70,9 @@ TransportSession::TransportSession(AdaptiveTransport& proto, std::uint32_t id,
       id_(id),
       cfg_(cfg),
       ctx_(std::move(ctx)),
-      active_(active) {
+      active_(active),
+      pump_timer_(proto.host().timers().scheduler(), [this] { pump(); }),
+      wd_timer_(proto.host().timers().scheduler(), [this] { watchdog_check(); }) {
   if (remotes_.empty()) throw std::invalid_argument("TransportSession: no remote participants");
   ctx_->attach_all(*this);
   if (cfg_.connection != sa::ConnectionScheme::kImplicit) {
@@ -79,10 +81,7 @@ TransportSession::TransportSession(AdaptiveTransport& proto, std::uint32_t id,
   }
 }
 
-TransportSession::~TransportSession() {
-  pump_timer_.cancel();
-  wd_timer_.cancel();
-}
+TransportSession::~TransportSession() = default;
 
 os::Host& TransportSession::host() { return proto_.host(); }
 os::TimerFacility& TransportSession::timers() { return proto_.host().timers(); }
@@ -241,14 +240,10 @@ void TransportSession::pump() {
     const std::uint32_t in_flight = rel.in_flight();
     if (!tx.can_send(in_flight)) {
       const sim::SimTime at = tx.earliest_send();
-      if (at > now() && !pump_scheduled_) {
+      if (at > now() && !pump_timer_.pending()) {
         // Pacing gap: wake up when it elapses. Window stalls wake via
         // tx_ready() on the next ack instead.
-        pump_scheduled_ = true;
-        pump_timer_ = timers().scheduler().schedule_at(at, [this] {
-          pump_scheduled_ = false;
-          pump();
-        });
+        pump_timer_.arm_at(at);
       }
       if (writable()) release_writable();
       return;
@@ -556,7 +551,6 @@ void TransportSession::connection_closed(bool aborted) {
   state_ = aborted ? SessionState::kAborted : SessionState::kClosed;
   pump_timer_.cancel();
   wd_timer_.cancel();
-  wd_armed_ = false;
   if (wd_stalled_) {
     wd_stalled_ = false;
     if (!aborted && ctx_->reliability().all_acked()) {
@@ -579,12 +573,10 @@ bool TransportSession::watchdog_outstanding() const {
 }
 
 void TransportSession::arm_watchdog() {
-  if (wd_deadline_ <= sim::SimTime::zero() || wd_armed_) return;
+  if (wd_deadline_ <= sim::SimTime::zero() || wd_timer_.pending()) return;
   if (!watchdog_outstanding()) return;
   wd_last_progress_ = now();
-  wd_armed_ = true;
-  wd_timer_ =
-      timers().scheduler().schedule_after(wd_deadline_ / 2, [this] { watchdog_check(); });
+  wd_timer_.arm_after(wd_deadline_ / 2);
 }
 
 void TransportSession::note_progress() {
@@ -600,7 +592,6 @@ void TransportSession::note_progress() {
 
 void TransportSession::watchdog_check() {
   UNITES_PROF_S("transport.watchdog", id_);
-  wd_armed_ = false;
   if (wd_deadline_ <= sim::SimTime::zero()) return;
   if (!watchdog_outstanding()) {
     // The stalled work drained away (a segue re-emitted it, or the close
@@ -623,9 +614,7 @@ void TransportSession::watchdog_check() {
     pump();
     if (on_stall_) on_stall_();
   }
-  wd_armed_ = true;
-  wd_timer_ =
-      timers().scheduler().schedule_after(wd_deadline_ / 2, [this] { watchdog_check(); });
+  wd_timer_.arm_after(wd_deadline_ / 2);
 }
 
 void TransportSession::loss_signal() {

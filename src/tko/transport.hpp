@@ -213,18 +213,19 @@ private:
 
   AdaptiveTransport& proto_;
   std::uint32_t id_;
+  std::uint32_t piggyback_budget_ = 16;
   sa::SessionConfig cfg_;
   std::unique_ptr<sa::Context> ctx_;
   bool active_;
+  bool peer_confirmed_ = false;
+  bool wd_stalled_ = false;
   SessionState state_ = SessionState::kIdle;
   MessageQueue tx_queue_;
   /// Sum of tx_queue_ message sizes, maintained at push/pop so the
   /// live_bytes() gauge never walks the queue on the hot path.
   std::size_t tx_queue_bytes_ = 0;
-  bool peer_confirmed_ = false;
-  std::uint32_t piggyback_budget_ = 16;
-  bool pump_scheduled_ = false;
-  sim::EventHandle pump_timer_;
+  /// Wakes pump() when a pacing gap elapses.
+  sim::Timer pump_timer_;
   /// Message-oriented reassembly: delivered bytes accumulate here until a
   /// complete [u32 length][payload] TSDU record is available.
   Message rx_assembly_;
@@ -234,9 +235,7 @@ private:
   /// Watchdog state: armed while outstanding work exists; the check fires
   /// at deadline/2 granularity so a stall is flagged within 1.5 deadlines.
   sim::SimTime wd_deadline_ = sim::SimTime::seconds(1.0);
-  sim::EventHandle wd_timer_;
-  bool wd_armed_ = false;
-  bool wd_stalled_ = false;
+  sim::Timer wd_timer_;  ///< pending while the watchdog is armed
   sim::SimTime wd_last_progress_ = sim::SimTime::zero();
   sim::SimTime wd_stall_since_ = sim::SimTime::zero();
   StallFn on_stall_;

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 namespace adaptive::app {
 namespace {
 
@@ -134,6 +136,32 @@ TEST(SourceSink, EndToEndLatencyMeasured) {
   EXPECT_LT(st.mean_latency_sec(), 0.01);
   EXPECT_EQ(st.misordered, 0u);
   EXPECT_EQ(st.duplicates, 0u);
+}
+
+TEST(SourceSink, DuplicateTrackingMemoryFollowsIdsSeenNotLargestId) {
+  // A unit id with a flipped high bit that slipped past the checksum used
+  // to size the sink's duplicate bitmap to 2^31 bits (256 MB).
+  sim::EventScheduler sched;
+  os::TimerFacility timers(sched);
+  SinkApp sink(timers);
+  const auto peak_kb = [] {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_maxrss;
+  };
+  const long before = peak_kb();
+  constexpr std::uint32_t kFlipped = (1u << 31) + 252;
+  for (const std::uint32_t id : {0u, 1u, 3u, kFlipped, 2u, 3u, kFlipped}) {
+    UnitHeader h;
+    h.id = id;
+    sink.on_message(tko::Message::from_bytes(h.encode(64)));
+  }
+  EXPECT_LT(peak_kb() - before, 8 * 1024);
+  const auto& st = sink.stats();
+  EXPECT_EQ(st.duplicates, 2u);
+  EXPECT_EQ(st.units_received, 5u);
+  EXPECT_EQ(st.misordered, 1u);  // 2 after the flipped id
+  EXPECT_EQ(st.highest_id, kFlipped);
 }
 
 TEST(SourceSink, SegmentedUnitsCountContinuationBytes) {

@@ -536,7 +536,7 @@ TEST(ConformanceScenario, ReconfigurationReRegistersTheContract) {
   opt.mode = RunOptions::Mode::kMantttsAdaptive;
   opt.duration = sim::SimTime::seconds(12);
   opt.scale = 0.5;
-  world.scheduler().schedule_after(sim::SimTime::seconds(4), [&] {
+  world.scheduler().post_after(sim::SimTime::seconds(4), [&] {
     world.network().set_link_pair_up(world.topology().scenario_links[0], false);
   });
   const auto out = run_scenario(world, opt);
@@ -560,7 +560,7 @@ TEST(ConformanceScenario, ContractOverrideSurvivesResynthesis) {
   c.max_latency_ns = 123'456'789;
   c.loss_tolerance = 0.5;
   opt.qos_contract = c;
-  world.scheduler().schedule_after(sim::SimTime::seconds(4), [&] {
+  world.scheduler().post_after(sim::SimTime::seconds(4), [&] {
     world.network().set_link_pair_up(world.topology().scenario_links[0], false);
   });
   const auto out = run_scenario(world, opt);

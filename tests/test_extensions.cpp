@@ -178,7 +178,7 @@ TEST(Probes, AdaptationCanRunOnMeasuredRtt) {
   opt.mode = RunOptions::Mode::kMantttsAdaptive;
   opt.duration = sim::SimTime::seconds(14);
   opt.scale = 0.5;
-  world.scheduler().schedule_after(sim::SimTime::seconds(4), [&] {
+  world.scheduler().post_after(sim::SimTime::seconds(4), [&] {
     world.network().set_link_pair_up(world.topology().scenario_links[0], false);
   });
   const auto out = run_scenario(world, opt);
@@ -338,16 +338,16 @@ TEST(FailureInjection, ReliableTransferSurvivesLinkFlap) {
                                         &world.host(0).buffers()));
   // The destination's access link flaps twice mid-transfer.
   const auto link = world.topology().scenario_links[1];
-  world.scheduler().schedule_after(sim::SimTime::milliseconds(30), [&] {
+  world.scheduler().post_after(sim::SimTime::milliseconds(30), [&] {
     world.network().set_link_pair_up(link, false);
   });
-  world.scheduler().schedule_after(sim::SimTime::milliseconds(300), [&] {
+  world.scheduler().post_after(sim::SimTime::milliseconds(300), [&] {
     world.network().set_link_pair_up(link, true);
   });
-  world.scheduler().schedule_after(sim::SimTime::milliseconds(500), [&] {
+  world.scheduler().post_after(sim::SimTime::milliseconds(500), [&] {
     world.network().set_link_pair_up(link, false);
   });
-  world.scheduler().schedule_after(sim::SimTime::milliseconds(900), [&] {
+  world.scheduler().post_after(sim::SimTime::milliseconds(900), [&] {
     world.network().set_link_pair_up(link, true);
   });
   world.run_for(sim::SimTime::seconds(30));

@@ -131,7 +131,7 @@ TEST(FuzzLive, GarbagePacketsDontDisturbALiveTransfer) {
   // throughout the transfer.
   sim::Rng rng(202);
   for (int i = 0; i < 300; ++i) {
-    world.scheduler().schedule_after(sim::SimTime::microseconds(100 * i), [&, i] {
+    world.scheduler().post_after(sim::SimTime::microseconds(100 * i), [&, i] {
       net::Packet junk;
       junk.src = {world.node(2), 1234};
       junk.dst = {world.node(1),

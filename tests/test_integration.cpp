@@ -126,7 +126,7 @@ TEST(Scenario, AdaptiveModeSwitchesRecoveryUnderCongestionOnset) {
   bg.burst_rate = sim::Rate::mbps(3);
   bg.always_on = true;
   net::BackgroundTraffic cross(world.network(), bg, 6);
-  world.scheduler().schedule_after(sim::SimTime::seconds(5), [&] { cross.start(); });
+  world.scheduler().post_after(sim::SimTime::seconds(5), [&] { cross.start(); });
 
   const auto out = run_scenario(world, opt);
   EXPECT_GT(out.reconfigurations, 0u);  // policies fired
@@ -144,7 +144,7 @@ TEST(Scenario, RouteFailoverToSatelliteTriggersFecSwitch) {
   opt.scale = 0.5;
 
   // Terrestrial path dies at t=4s; traffic reroutes over the satellite.
-  world.scheduler().schedule_after(sim::SimTime::seconds(4), [&] {
+  world.scheduler().post_after(sim::SimTime::seconds(4), [&] {
     world.network().set_link_pair_up(world.topology().scenario_links[0], false);
   });
 

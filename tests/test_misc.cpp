@@ -24,7 +24,7 @@ TEST(TkoEvent, OneShotAndCancel) {
   e.cancel();
   sched.run();
   EXPECT_EQ(fired, 1);
-  EXPECT_EQ(timers.timers_scheduled(), 2u);
+  EXPECT_EQ(sched.pending_events(), 0u);
 }
 
 TEST(TkoEvent, PeriodicFiresUntilCancelled) {
@@ -38,7 +38,6 @@ TEST(TkoEvent, PeriodicFiresUntilCancelled) {
   e.cancel();
   sched.run_until(sim::SimTime::milliseconds(200));
   EXPECT_EQ(fired, 5);
-  EXPECT_EQ(e.expirations(), 5u);
 }
 
 TEST(TkoEvent, RearmReplacesPending) {

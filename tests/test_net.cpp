@@ -224,6 +224,48 @@ TEST(Link, SerializationQueuesBackToBack) {
   EXPECT_EQ(arrivals[2], sim::SimTime::milliseconds(3));
 }
 
+TEST(Link, DownDuringSerializationAbortsTheTransmission) {
+  // Packet 1's 8.224 ms serialization is cut by a 1-2 ms outage: it is
+  // lost, dropped as link-down at the instant it would have arrived, and
+  // the wire carries one packet at a time after the link comes back.
+  sim::EventScheduler sched;
+  Network net(sched, 7);
+  const NodeId a = net.add_host("a");
+  const NodeId b = net.add_host("b");
+  LinkConfig cfg;
+  cfg.bandwidth = sim::Rate::mbps(1);  // 1028 wire bytes -> 8.224 ms
+  cfg.propagation_delay = sim::SimTime::microseconds(5);
+  const LinkId l = std::get<0>(net.connect(a, b, cfg));
+  std::vector<std::pair<std::uint8_t, sim::SimTime>> arrivals;
+  net.set_host_rx(b, [&](Packet&& p) { arrivals.emplace_back(p.payload.flat()[0], sched.now()); });
+  const auto send = [&](std::uint8_t tag) {
+    Packet p;
+    p.src = {a, 1};
+    p.dst = {b, 2};
+    p.payload = tko::Message::filled(1000, tag);
+    net.inject(std::move(p));
+  };
+  send(1);
+  sched.post_at(sim::SimTime::milliseconds(1), [&] { net.set_link_pair_up(l, false); });
+  sched.post_at(sim::SimTime::milliseconds(2), [&] { net.set_link_pair_up(l, true); });
+  sched.post_at(sim::SimTime::milliseconds(3), [&] {
+    for (std::uint8_t tag = 2; tag <= 4; ++tag) send(tag);
+  });
+  const sim::SimTime arrive1 = sim::SimTime::nanoseconds(8'224'000 + 5'000);
+  sched.run_until(arrive1 - sim::SimTime::nanoseconds(1));
+  EXPECT_EQ(net.link(l).stats().down_drops, 0u);
+  sched.run_until(arrive1);
+  EXPECT_EQ(net.link(l).stats().down_drops, 1u);  // packet 1, when it would have arrived
+  sched.run();
+  const sim::SimTime tx = sim::SimTime::nanoseconds(8'224'000);
+  const sim::SimTime first = sim::SimTime::milliseconds(3) + tx + sim::SimTime::microseconds(5);
+  const std::vector<std::pair<std::uint8_t, sim::SimTime>> want = {
+      {2, first}, {3, first + tx}, {4, first + tx * 2}};
+  EXPECT_EQ(arrivals, want);
+  EXPECT_EQ(net.link(l).stats().down_drops, 1u);
+  EXPECT_EQ(net.link(l).stats().tx_packets, 4u);
+}
+
 TEST(Routing, ShortestPathPrefersFastLinks) {
   sim::EventScheduler sched;
   Network net(sched, 1);

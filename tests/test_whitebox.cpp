@@ -378,7 +378,7 @@ TEST(SpansEndToEnd, SpansSurviveASegueAndRetransmissionsUnderFailover) {
   opt.mode = RunOptions::Mode::kMantttsAdaptive;
   opt.duration = sim::SimTime::seconds(12);
   opt.scale = 0.5;
-  world.scheduler().schedule_after(sim::SimTime::seconds(4), [&] {
+  world.scheduler().post_after(sim::SimTime::seconds(4), [&] {
     world.network().set_link_pair_up(world.topology().scenario_links[0], false);
   });
   const RunOutcome out = run_scenario(world, opt);

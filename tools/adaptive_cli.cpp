@@ -583,7 +583,7 @@ int main(int argc, char** argv) {
   // Building a World records no event, so the trace starts complete here.
   if (!cli->trace_out.empty() || !cli->span_out.empty()) world.trace().enable();
   if (cli->fail_link_at >= 0.0 && !world.topology().scenario_links.empty()) {
-    world.scheduler().schedule_after(sim::SimTime::seconds(cli->fail_link_at), [&world] {
+    world.scheduler().post_after(sim::SimTime::seconds(cli->fail_link_at), [&world] {
       std::printf("[event] failing scenario link 0\n");
       world.network().set_link_pair_up(world.topology().scenario_links[0], false);
     });

@@ -13,9 +13,22 @@ both sides alike. Each tree builds into its own CARGO_TARGET_DIR
 
 For every workload and every end-to-end metric of the head's
 BENCHMARK.json it prints each side's median and quartiles, the pairs the
-head wins, the change of the medians in %, and the pairs the head loses by
+head wins, the change of the medians in %, the pairs the head loses by
 more than the metric's bound ("worse" follows the metric's `better`
-direction).
+direction), and a verdict (docs: choosing-metrics, "Measuring in a small
+sandbox"):
+
+  gain          the head wins >= 9/10 of the pairs (ties count for
+                neither) and the medians differ, in its favour, by more
+                than the base's interquartile range;
+  unresolved    the base's interquartile range, relative to its median,
+                exceeds the metric's bound, and not every head run beats
+                every base run;
+  worse         the head's median is worse than the base's by more than
+                the bound;
+  within bound  otherwise.
+
+The verdict is reported only; it does not change the exit status.
 
 Exit status: 1 when any run is not `correct`, or when for any metric the
 head loses by more than its bound in at least 4 of every 5 pairs
@@ -31,6 +44,7 @@ import sys
 
 WORKLOADS = ("bulk_atm", "city_churn", "media_chaos")
 LOSS_SHARE = 0.8  # 4 of 5 pairs
+GAIN_SHARE = 0.9  # 9 of 10 pairs
 
 
 def log(msg):
@@ -58,6 +72,23 @@ def worse_by(metric, base, head):
     """How much worse the head is than the base, as a fraction (<= 0: not worse)."""
     change = relative_change(base, head)
     return change if metric["better"] == "lower" else -change
+
+
+def metric_verdict(metric, base, head):
+    """The choosing-metrics verdict on one metric's paired runs."""
+    wins = sum(worse_by(metric, b, h) < 0 for b, h in zip(base, head))
+    med_base, med_head = quantile(base, 0.5), quantile(head, 0.5)
+    iqr = quantile(base, 0.75) - quantile(base, 0.25)
+    if (wins >= GAIN_SHARE * len(base) and worse_by(metric, med_base, med_head) < 0
+            and abs(med_head - med_base) > iqr):
+        return "gain"
+    spread = iqr / abs(med_base) if med_base else (math.inf if iqr else 0.0)
+    every_head_beats = all(worse_by(metric, b, h) < 0 for b in base for h in head)
+    if spread > metric["bound"] and not every_head_beats:
+        return "unresolved"
+    if worse_by(metric, med_base, med_head) > metric["bound"]:
+        return "worse"
+    return "within bound"
 
 
 def run_one(tree, build_dir, workload, seed, seconds):
@@ -109,7 +140,7 @@ def judge(record, out=sys.stdout):
                 print(f"  {side} runs not correct: seeds {bad}", file=out)
                 status = 1
         rows = [("metric", "base median [q1, q3]", "head median [q1, q3]", "wins", "change",
-                 "lost>bound")]
+                 "lost>bound", "verdict")]
         for metric in record["end_to_end"]:
             name = metric["name"]
             if any(name not in p[s]["metrics"] for p in pairs for s in ("base", "head")):
@@ -127,7 +158,7 @@ def judge(record, out=sys.stdout):
                 flag = "  FAIL"
                 status = 1
             rows.append((name, cells["base"], cells["head"], f"{wins}/{n}", f"{change:+.1f}%",
-                         f"{lost}/{n}{flag}"))
+                         f"{lost}/{n}{flag}", metric_verdict(metric, vals["base"], vals["head"])))
         widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
         for r in rows:
             print("  " + "  ".join(c.ljust(w) if i == 0 else c.rjust(w)
